@@ -103,33 +103,27 @@ bool CheckFile(const std::string& path) {
         return false;
       }
     }
-    // The 128-dim profile series carries the GEMM-bound gate: both path
-    // sections must be present and the batched one must report gemm_share,
-    // the number the perf trend watches to catch the training loop drifting
-    // off the batched GEMM path.
+    // The 128-dim profile series carries the GEMM-bound gate: both trainer
+    // sections (tape arena on and off) must be present, each with its own
+    // gemm_share — the number the perf trend watches to catch training
+    // drifting off the GEMM kernels.
     for (const char* section :
-         {"\"name\":\"profile128/batched\"", "\"name\":\"profile128/reference\"",
-          "\"name\":\"profile128/main_proxy\""}) {
-      if (text.find(section) == std::string::npos) {
+         {"\"name\":\"profile128/arena\"",
+          "\"name\":\"profile128/no_arena\""}) {
+      const size_t at = text.find(section);
+      if (at == std::string::npos) {
         std::printf("FAIL %s: missing 128-dim profile section %s\n",
                     path.c_str(), section);
         return false;
       }
+      // Sections are flat objects, so the row ends at the next '}'.
+      const std::string row = text.substr(at, text.find('}', at) - at);
+      if (row.find("\"gemm_share\":") == std::string::npos) {
+        std::printf("FAIL %s: profile128 section %s lacks gemm_share\n",
+                    path.c_str(), section);
+        return false;
+      }
     }
-    if (text.find("\"gemm_share\":") == std::string::npos) {
-      std::printf("FAIL %s: profile128 sections lack gemm_share\n",
-                  path.c_str());
-      return false;
-    }
-  }
-  // The GEMM artifact feeds the README "Compute kernels" table; it must
-  // carry the strided-batch sweep alongside the 2-D one, or the batched
-  // kernel's trajectory silently disappears from the trend.
-  if (text.find("\"bench\":\"gemm\"") != std::string::npos &&
-      text.find("\"name\":\"BM_BatchMatMul/") == std::string::npos) {
-    std::printf("FAIL %s: gemm artifact lacks BM_BatchMatMul sections\n",
-                path.c_str());
-    return false;
   }
   std::printf("OK   %s\n", path.c_str());
   return true;

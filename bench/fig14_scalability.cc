@@ -25,7 +25,6 @@
 #include "core/titv.h"
 #include "dist/coordinator.h"
 #include "dist/worker.h"
-#include "nn/rnn_config.h"
 #include "obs/autograd_profiler.h"
 #include "parallel/data_parallel.h"
 #include "train/trainer.h"
@@ -250,15 +249,13 @@ void RunMultiProcess(const bench::BenchOptions& options, int epochs,
 
 // ---------------------------------------------------------------------------
 // 128-dim single-worker profile: where does an epoch actually go? Trains
-// the batched rank-3 path and the per-timestep reference path
-// (TRACER_BATCHED_RNN=0) on the same cohort with the autograd profiler on,
-// and reports wall-clock plus the profiler's GEMM time share. On the
-// batched path the share demonstrates training is GEMM-bound.
+// TITV on the same cohort with the autograd profiler on, once on the tape
+// arena and once with TRACER_TRAIN_ARENA=0, and reports wall-clock plus
+// the profiler's GEMM time share for each.
 
 void RunProfiled128(const bench::BenchOptions& options,
                     bench::BenchArtifact* artifact) {
-  bench::PrintHeader(
-      "Figure 14 — 128-dim profile: batched vs per-timestep path");
+  bench::PrintHeader("Figure 14 — 128-dim profile: tape arena on vs off");
   bench::BenchOptions big = options;
   big.rnn_dim = 128;
   big.samples = options.samples / 2;
@@ -271,27 +268,20 @@ void RunProfiled128(const bench::BenchOptions& options,
   tc.seed = 29;
   tc.batch_size = bench::EnvInt("TRACER_PROFILE_BATCH", tc.batch_size);
 
-  // Three rows: the batch-major path, the per-timestep path (both on the
-  // tape arena), and the per-timestep path with the arena disabled — the
-  // closest in-binary proxy for the pre-refactor trainer.
   struct Row {
     const char* label;
     const char* section;
-    bool batched;
     bool arena;
   };
   const Row rows[] = {
-      {"batched", "profile128/batched", true, true},
-      {"per-timestep", "profile128/reference", false, true},
-      {"per-ts/no-arena", "profile128/main_proxy", false, false},
+      {"arena", "profile128/arena", true},
+      {"no-arena", "profile128/no_arena", false},
   };
-  std::printf("%-16s %-14s %-12s\n", "Path", "Measured (s)", "GEMM share");
+  std::printf("%-16s %-14s %-12s\n", "Trainer", "Measured (s)",
+              "GEMM share");
   bench::PrintRule();
   obs::AutogradProfiler& profiler = obs::AutogradProfiler::Global();
-  double batched_seconds = 0.0, main_proxy_seconds = 0.0;
   for (const Row& row : rows) {
-    setenv("TRACER_BATCHED_RNN", row.batched ? "1" : "0", 1);
-    nn::ReloadBatchedRnnEnvForTesting();
     setenv("TRACER_TRAIN_ARENA", row.arena ? "1" : "0", 1);
     core::TitvConfig config;
     config.input_dim = data.input_dim;
@@ -309,8 +299,6 @@ void RunProfiled128(const bench::BenchOptions& options,
             .count();
     profiler.SetEnabled(false);
     const double gemm_share = profiler.GemmShare();
-    if (row.batched) batched_seconds = seconds;
-    if (!row.arena) main_proxy_seconds = seconds;
     std::printf("%-16s %-14.2f %-12.2f\n", row.label, seconds, gemm_share);
     if (std::getenv("TRACER_PROFILE_TABLE") != nullptr) {
       std::printf("%s\n", profiler.ReportTable().c_str());
@@ -322,13 +310,7 @@ void RunProfiled128(const bench::BenchOptions& options,
     section.Add("iterations", static_cast<int64_t>(epochs));
     artifact->AddSectionRaw(section.Build());
   }
-  unsetenv("TRACER_BATCHED_RNN");
   unsetenv("TRACER_TRAIN_ARENA");
-  nn::ReloadBatchedRnnEnvForTesting();
-  bench::PrintRule();
-  std::printf("Batched vs pre-refactor trainer at rnn_dim 128: %.2fx\n",
-              batched_seconds > 0.0 ? main_proxy_seconds / batched_seconds
-                                    : 0.0);
 }
 
 }  // namespace

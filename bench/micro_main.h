@@ -56,8 +56,6 @@ class ArtifactReporter : public benchmark::ConsoleReporter {
 /// Routes benchmark rows whose name starts with `prefix` into their own
 /// BENCH_<artifact_name>.json, so one harness binary can feed several
 /// independent perf trajectories (micro_tensor splits its GEMM sweep out as
-/// BENCH_gemm.json). Several prefixes may share one artifact_name — their
-/// rows land in the same file (BM_Gemm and BM_BatchMatMul both feed
 /// BENCH_gemm.json). Splits only separate cleanly when TRACER_BENCH_JSON
 /// names a directory; a literal ".json" path makes the artifacts overwrite
 /// each other.
@@ -79,38 +77,24 @@ inline int RunMicroBenchmarks(const std::string& name, int argc, char** argv,
 
   BenchArtifact artifact(name);
   artifact.AddConfig("harness", "google-benchmark");
-  // Group splits by artifact_name so multiple prefixes can feed one file
-  // (two same-named BenchArtifacts would otherwise overwrite each other).
   std::vector<BenchArtifact> split_artifacts;
-  std::vector<bool> split_has_rows;
-  std::vector<size_t> split_to_artifact(splits.size());
-  std::vector<std::string> artifact_names;
-  for (size_t i = 0; i < splits.size(); ++i) {
-    size_t j = 0;
-    while (j < artifact_names.size() &&
-           artifact_names[j] != splits[i].artifact_name) {
-      ++j;
-    }
-    if (j == artifact_names.size()) {
-      artifact_names.push_back(splits[i].artifact_name);
-      split_artifacts.emplace_back(splits[i].artifact_name);
-      split_artifacts.back().AddConfig("harness", "google-benchmark");
-      split_has_rows.push_back(false);
-    }
-    split_to_artifact[i] = j;
+  std::vector<bool> split_has_rows(splits.size(), false);
+  split_artifacts.reserve(splits.size());
+  for (const ArtifactSplit& split : splits) {
+    split_artifacts.emplace_back(split.artifact_name);
+    split_artifacts.back().AddConfig("harness", "google-benchmark");
   }
   for (const ArtifactReporter::Row& row : reporter.rows()) {
-    size_t target = split_artifacts.size();  // default: the main artifact
+    size_t target = splits.size();  // default: the main artifact
     for (size_t i = 0; i < splits.size(); ++i) {
       if (row.name.rfind(splits[i].prefix, 0) == 0) {
-        target = split_to_artifact[i];
+        target = i;
         break;
       }
     }
-    BenchArtifact& dest = target < split_artifacts.size()
-                              ? split_artifacts[target]
-                              : artifact;
-    if (target < split_artifacts.size()) split_has_rows[target] = true;
+    BenchArtifact& dest =
+        target < splits.size() ? split_artifacts[target] : artifact;
+    if (target < splits.size()) split_has_rows[target] = true;
     dest.AddSection(row.name, row.wall_time_s, row.ops_per_sec,
                     row.iterations);
   }

@@ -133,59 +133,6 @@ BENCHMARK_CAPTURE(BM_Gemm, nt_blocked, gemm::Variant::kNT,
 #undef TRACER_GEMM_SHAPES
 #undef TRACER_GEMM_THREAD_SWEEP
 
-/// Strided-batch sweep: args are {batch, m, n, k, threads}, broadcast B
-/// (b_stride 0) — the layout the batched RNN input projection emits. The
-/// skinny shapes (m = 4) are the ones the 2-D dispatch heuristic would
-/// leave on the naive kernel; kAuto shows the batched heuristic promoting
-/// the stacked problem to blocked. items == flops, so ops_per_sec is
-/// FLOP/s.
-void BM_BatchMatMul(benchmark::State& state, gemm::Kernel kernel) {
-  const int batch = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  const int k = static_cast<int>(state.range(3));
-  const int threads = static_cast<int>(state.range(4));
-  const int prev_threads = parallel::MaxThreads();
-  parallel::SetMaxThreads(threads);
-  Rng rng(43);
-  std::vector<float> a(static_cast<size_t>(batch) * m * k);
-  std::vector<float> b(static_cast<size_t>(k) * n);
-  std::vector<float> c(static_cast<size_t>(batch) * m * n);
-  for (float& x : a) x = static_cast<float>(rng.Normal());
-  for (float& x : b) x = static_cast<float>(rng.Normal());
-  for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    gemm::BatchGemm(gemm::Variant::kNN, batch, m, n, k, a.data(),
-                    static_cast<int64_t>(m) * k, b.data(), /*b_stride=*/0,
-                    c.data(), static_cast<int64_t>(m) * n, kernel);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          gemm::FlopCount(static_cast<int64_t>(batch) * m,
-                                          n, k));
-  parallel::SetMaxThreads(prev_threads);
-}
-
-// {T, B, 3H, D}: the GRU input-projection shapes at rnn_dim 32 and 128,
-// plus a thread sweep on the 128-dim shape.
-#define TRACER_BATCH_MATMUL_SHAPES                                          \
-  Args({24, 4, 96, 32, 1})                                                  \
-      ->Args({24, 64, 96, 32, 1})                                           \
-      ->Args({24, 64, 384, 128, 1})
-
-BENCHMARK_CAPTURE(BM_BatchMatMul, naive, gemm::Kernel::kNaive)
-    ->TRACER_BATCH_MATMUL_SHAPES->UseRealTime();
-BENCHMARK_CAPTURE(BM_BatchMatMul, blocked, gemm::Kernel::kBlocked)
-    ->TRACER_BATCH_MATMUL_SHAPES->UseRealTime();
-BENCHMARK_CAPTURE(BM_BatchMatMul, auto, gemm::Kernel::kAuto)
-    ->TRACER_BATCH_MATMUL_SHAPES
-    ->Args({24, 64, 384, 128, 2})
-    ->Args({24, 64, 384, 128, 4})
-    ->Args({24, 64, 384, 128, 8})
-    ->UseRealTime();
-
-#undef TRACER_BATCH_MATMUL_SHAPES
-
 void BM_Sigmoid(benchmark::State& state) {
   Rng rng(4);
   const Tensor a = Tensor::Randn({64, static_cast<int>(state.range(0))}, rng);
@@ -235,8 +182,6 @@ BENCHMARK(BM_ConcatCols)->Arg(32)->Arg(128);
 }  // namespace tracer
 
 int main(int argc, char** argv) {
-  // Both prefixes feed BENCH_gemm.json (grouped by artifact name).
-  return tracer::bench::RunMicroBenchmarks(
-      "micro_tensor", argc, argv,
-      {{"BM_Gemm", "gemm"}, {"BM_BatchMatMul", "gemm"}});
+  return tracer::bench::RunMicroBenchmarks("micro_tensor", argc, argv,
+                                           {{"BM_Gemm", "gemm"}});
 }

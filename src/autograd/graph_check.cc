@@ -104,40 +104,6 @@ std::string CheckMatMul(const Node& n) {
   return "";
 }
 
-std::string CheckBatchMatMul(const Node& n) {
-  const Tensor& a = n.parents[0]->value;
-  const Tensor& b = n.parents[1]->value;
-  if (a.rank() != 3 || n.value.rank() != 3) {
-    return "batch_matmul requires rank-3 A and output, got " + ShapeStr(a) +
-           " · " + ShapeStr(b) + " -> " + ShapeStr(n.value);
-  }
-  const int k = a.dim(2);
-  int cols;
-  if (b.rank() == 2) {
-    if (b.rows() != k) {
-      return "inner dimensions disagree: " + ShapeStr(a) + " · " +
-             ShapeStr(b);
-    }
-    cols = b.cols();
-  } else if (b.rank() == 3) {
-    if (b.dim(0) != a.dim(0) || b.dim(1) != k) {
-      return "batch/inner dimensions disagree: " + ShapeStr(a) + " · " +
-             ShapeStr(b);
-    }
-    cols = b.dim(2);
-  } else {
-    return "batch_matmul B must be rank-2 (broadcast) or rank-3, got " +
-           ShapeStr(b);
-  }
-  if (n.value.dim(0) != a.dim(0) || n.value.dim(1) != a.dim(1) ||
-      n.value.dim(2) != cols) {
-    return "output " + ShapeStr(n.value) + " but " + ShapeStr(a) + " · " +
-           ShapeStr(b) + " produces [" + std::to_string(a.dim(0)) + "x" +
-           std::to_string(a.dim(1)) + "x" + std::to_string(cols) + "]";
-  }
-  return "";
-}
-
 std::string CheckConcatRows(const Node& n) {
   if (!IsMatrix(n.value)) {
     return "concat_rows output must be rank-2, got " + ShapeStr(n.value);
@@ -240,14 +206,6 @@ std::string CheckRowSums(const Node& n) {
   return "";
 }
 
-std::string CheckReshape(const Node& n) {
-  if (n.value.size() != n.parents[0]->value.size()) {
-    return "reshape changes element count: " +
-           ShapeStr(n.parents[0]->value) + " -> " + ShapeStr(n.value);
-  }
-  return "";
-}
-
 std::string CheckScalarOutput(const Node& n) {
   if (n.value.size() != 1) {
     return "reduction output must be a single scalar, got " +
@@ -260,10 +218,8 @@ const std::unordered_map<std::string_view, OpShapeRule>& ShapeRules() {
   static const auto* rules =
       new std::unordered_map<std::string_view, OpShapeRule>{
           {"matmul", {2, CheckMatMul}},
-          {"batch_matmul", {2, CheckBatchMatMul}},
           {"concat_rows", {kVariadicArity, CheckConcatRows}},
           {"slice_rows", {1, CheckSliceRows}},
-          {"reshape", {1, CheckReshape}},
           {"add", {2, CheckElementwiseSame}},
           {"sub", {2, CheckElementwiseSame}},
           {"mul", {2, CheckElementwiseSame}},

@@ -50,39 +50,6 @@ Variable MatMul(const Variable& a, const Variable& b) {
   });
 }
 
-Variable BatchMatMul(const Variable& a, const Variable& b) {
-  obs::ScopedOpTimer op_timer("batch_matmul");
-  const Tensor& av = a.value();
-  const Tensor& bv = b.value();
-  const int64_t batch = av.dim(0), m = av.dim(1), k = av.dim(2);
-  const int64_t cols = bv.rank() == 2 ? bv.cols() : bv.dim(2);
-  op_timer.SetFlops(gemm::FlopCount(batch * m, cols, k));
-  Tensor value = tracer::BatchMatMul(av, bv);
-  // Backward mirrors MatMul through the strided-batch transpose variants:
-  // dA_s += dC_s·B(_s)ᵀ and dB(_s) += A_sᵀ·dC_s — a rank-2 B gets its
-  // slices reduced into one gradient in ascending batch order.
-  return MakeOpNode("batch_matmul", std::move(value), {a.node(), b.node()},
-                    [](Node& n) {
-    const Tensor& av2 = n.parents[0]->value;
-    const int64_t batch2 = av2.dim(0), m2 = av2.dim(1), k2 = av2.dim(2);
-    const int64_t cols2 = n.grad.dim(2);
-    int64_t flops = 0;
-    if (Wants(n, 0)) {
-      BatchMatMulTransBAccum(n.grad, n.parents[1]->value,
-                             &n.parents[0]->EnsureGrad());
-      flops += gemm::FlopCount(batch2 * m2, k2, cols2);
-    }
-    if (Wants(n, 1)) {
-      BatchMatMulTransAAccum(av2, n.grad, &n.parents[1]->EnsureGrad());
-      flops += gemm::FlopCount(batch2 * k2, cols2, m2);
-    }
-    obs::AutogradProfiler& profiler = obs::AutogradProfiler::Global();
-    if (flops > 0 && profiler.enabled()) {
-      profiler.AddBackwardFlops("batch_matmul", flops);
-    }
-  });
-}
-
 Variable Add(const Variable& a, const Variable& b) {
   obs::ScopedOpTimer op_timer("add");
   Tensor value = tracer::Add(a.value(), b.value());
@@ -295,20 +262,6 @@ Variable SliceRows(const Variable& a, int begin, int end) {
                     [begin](Node& n) {
     if (!Wants(n, 0)) return;
     AddToRowsAccum(n.grad, begin, &n.parents[0]->EnsureGrad());
-  });
-}
-
-Variable Reshape(const Variable& a, std::vector<int> shape) {
-  obs::ScopedOpTimer op_timer("reshape");
-  Tensor value = a.value().Reshape(std::move(shape));
-  return MakeOpNode("reshape", std::move(value), {a.node()}, [](Node& n) {
-    if (!Wants(n, 0)) return;
-    // Row-major order is shared by both shapes: accumulate flat.
-    Tensor& dst = n.parents[0]->EnsureGrad();
-    const float* g = n.grad.data();
-    float* dx = dst.data();
-    const int64_t count = dst.size();
-    for (int64_t i = 0; i < count; ++i) dx[i] += g[i];
   });
 }
 

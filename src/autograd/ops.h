@@ -14,10 +14,6 @@ namespace autograd {
 
 /// A · B for A (M×K), B (K×N).
 Variable MatMul(const Variable& a, const Variable& b);
-/// Batched matmul: A (S×M×K) · B (S×K×N, or rank-2 K×N broadcast across
-/// every slice — the broadcast gradient reduces over the batch). The
-/// rank-3 workhorse that turns per-timestep gate stacks into one GEMM.
-Variable BatchMatMul(const Variable& a, const Variable& b);
 /// Elementwise sum (same shape).
 Variable Add(const Variable& a, const Variable& b);
 /// Elementwise difference.
@@ -54,11 +50,6 @@ Variable SliceCols(const Variable& a, int begin, int end);
 Variable ConcatRows(const std::vector<Variable>& parts);
 /// Rows [begin, end).
 Variable SliceRows(const Variable& a, int begin, int end);
-/// Reinterprets the value with a new shape of equal size (row-major order
-/// preserved). Moves between the stacked rank-2 (S·M × N) and batched
-/// rank-3 (S × M × N) views of a sequence; gradient flows through
-/// unchanged.
-Variable Reshape(const Variable& a, std::vector<int> shape);
 /// Numerically stable row-wise softmax.
 Variable SoftmaxRows(const Variable& a);
 

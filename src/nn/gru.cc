@@ -1,7 +1,6 @@
 #include "nn/gru.h"
 
 #include "common/macros.h"
-#include "nn/rnn_config.h"
 
 namespace tracer {
 namespace nn {
@@ -35,54 +34,6 @@ Variable GruCell::Step(const Variable& x, const Variable& h_prev) const {
   return Add(Mul(OneMinus(z), h_tilde), Mul(z, h_prev));
 }
 
-std::vector<Variable> GruCell::RunSequence(const std::vector<Variable>& xs,
-                                           bool reverse) const {
-  using namespace autograd;  // NOLINT
-  TRACER_CHECK(!xs.empty());
-  const int time_steps = static_cast<int>(xs.size());
-  const int batch = xs[0].value().rows();
-  const int hd = hidden_dim_;
-  // Stack timesteps (in recurrence order) into one rank-3 operand and push
-  // each gate's input projections for the whole sequence through one
-  // broadcast-B batched GEMM. Row stacking preserves each output element's
-  // k-chain, so every SliceRows below is bitwise identical to the per-step
-  // MatMul(x_t, w_g) of Step(). Gates stay in separate streams: slicing
-  // contiguous row blocks out of per-gate streams is far cheaper than
-  // strided per-step column slices out of a packed [T·B, 3H] block.
-  std::vector<Variable> ordered(xs.size());
-  for (int i = 0; i < time_steps; ++i) {
-    ordered[i] = xs[reverse ? time_steps - 1 - i : i];
-  }
-  const Variable x3 =
-      Reshape(ConcatRows(ordered), {time_steps, batch, input_dim_});
-  const std::vector<int> flat = {time_steps * batch, hd};
-  const Variable xw_z = Reshape(BatchMatMul(x3, w_z_), flat);
-  const Variable xw_r = Reshape(BatchMatMul(x3, w_r_), flat);
-  const Variable xw_h = Reshape(BatchMatMul(x3, w_h_), flat);
-  Variable h = Variable::Constant(Tensor::Zeros({batch, hd}));
-  std::vector<Variable> states(xs.size());
-  for (int i = 0; i < time_steps; ++i) {
-    const int r0 = i * batch, r1 = (i + 1) * batch;
-    // The recurrence serialises on h, so these per-gate B×H·H×H GEMMs are
-    // the irreducible per-timestep matmuls.
-    // lint:allow-looped-matmul
-    const Variable hu_z = MatMul(h, u_z_);
-    // lint:allow-looped-matmul
-    const Variable hu_r = MatMul(h, u_r_);
-    // lint:allow-looped-matmul
-    const Variable hu_h = MatMul(h, u_h_);
-    const Variable z = Sigmoid(
-        AddRows(Add(SliceRows(xw_z, r0, r1), hu_z), b_z_));
-    const Variable r = Sigmoid(
-        AddRows(Add(SliceRows(xw_r, r0, r1), hu_r), b_r_));
-    const Variable h_tilde = Tanh(AddRows(
-        Add(SliceRows(xw_h, r0, r1), Mul(r, hu_h)), b_h_));
-    h = Add(Mul(OneMinus(z), h_tilde), Mul(z, h));
-    states[reverse ? time_steps - 1 - i : i] = h;
-  }
-  return states;
-}
-
 Gru::Gru(int input_dim, int hidden_dim, Rng& rng)
     : cell_(input_dim, hidden_dim, rng) {
   AddSubmodule("cell", &cell_);
@@ -91,11 +42,6 @@ Gru::Gru(int input_dim, int hidden_dim, Rng& rng)
 std::vector<Variable> Gru::Run(const std::vector<Variable>& xs,
                                bool reverse) const {
   TRACER_CHECK(!xs.empty());
-  if (BatchedRnnEnabled()) {
-    return cell_.RunSequence(xs, reverse);
-  }
-  // Per-timestep reference path (TRACER_BATCHED_RNN=0); bitwise identical
-  // forward values to RunSequence.
   const int batch = xs[0].value().rows();
   const int time_steps = static_cast<int>(xs.size());
   Variable h = Variable::Constant(

@@ -23,14 +23,6 @@ class GruCell : public Module {
   autograd::Variable Step(const autograd::Variable& x,
                           const autograd::Variable& h_prev) const;
 
-  /// Batch-major sequence run: all timesteps' input projections go through
-  /// one rank-3 BatchMatMul against the column-packed [W_z W_r W_h], and
-  /// each step runs a single recurrent GEMM against the packed [U_z U_r
-  /// U_h]. Forward values are bitwise identical to chaining Step — column
-  /// and row stacking never change a GEMM element's accumulation chain.
-  std::vector<autograd::Variable> RunSequence(
-      const std::vector<autograd::Variable>& xs, bool reverse) const;
-
   int input_dim() const { return input_dim_; }
   int hidden_dim() const { return hidden_dim_; }
 

@@ -1,7 +1,6 @@
 #include "nn/lstm.h"
 
 #include "common/macros.h"
-#include "nn/rnn_config.h"
 
 namespace tracer {
 namespace nn {
@@ -50,62 +49,6 @@ LstmCell::State LstmCell::Step(const Variable& x, const State& prev) const {
   return next;
 }
 
-std::vector<Variable> LstmCell::RunSequence(const std::vector<Variable>& xs,
-                                            bool reverse) const {
-  using namespace autograd;  // NOLINT
-  TRACER_CHECK(!xs.empty());
-  const int time_steps = static_cast<int>(xs.size());
-  const int batch = xs[0].value().rows();
-  const int hd = hidden_dim_;
-  // Same batch-major layout as GruCell::RunSequence: per-gate stacked
-  // input projections (one broadcast-B batched GEMM per gate over the
-  // whole sequence), contiguous per-step row slices, and per-gate
-  // recurrence GEMMs. Each slice is bitwise identical to Step()'s
-  // MatMul(x_t, w_g) because row stacking preserves k-chains.
-  std::vector<Variable> ordered(xs.size());
-  for (int i = 0; i < time_steps; ++i) {
-    ordered[i] = xs[reverse ? time_steps - 1 - i : i];
-  }
-  const Variable x3 =
-      Reshape(ConcatRows(ordered), {time_steps, batch, input_dim_});
-  const std::vector<int> flat = {time_steps * batch, hd};
-  const Variable xw_i = Reshape(BatchMatMul(x3, w_i_), flat);
-  const Variable xw_f = Reshape(BatchMatMul(x3, w_f_), flat);
-  const Variable xw_o = Reshape(BatchMatMul(x3, w_o_), flat);
-  const Variable xw_c = Reshape(BatchMatMul(x3, w_c_), flat);
-  State state;
-  state.h = Variable::Constant(Tensor::Zeros({batch, hd}));
-  state.c = Variable::Constant(Tensor::Zeros({batch, hd}));
-  std::vector<Variable> states(xs.size());
-  for (int s = 0; s < time_steps; ++s) {
-    const int r0 = s * batch, r1 = (s + 1) * batch;
-    // The recurrence serialises on h; these per-gate B×H·H×H GEMMs are
-    // the irreducible per-timestep matmuls.
-    // lint:allow-looped-matmul
-    const Variable hu_i = MatMul(state.h, u_i_);
-    // lint:allow-looped-matmul
-    const Variable hu_f = MatMul(state.h, u_f_);
-    // lint:allow-looped-matmul
-    const Variable hu_o = MatMul(state.h, u_o_);
-    // lint:allow-looped-matmul
-    const Variable hu_c = MatMul(state.h, u_c_);
-    const Variable i = Sigmoid(
-        AddRows(Add(SliceRows(xw_i, r0, r1), hu_i), b_i_));
-    const Variable f = Sigmoid(
-        AddRows(Add(SliceRows(xw_f, r0, r1), hu_f), b_f_));
-    const Variable o = Sigmoid(
-        AddRows(Add(SliceRows(xw_o, r0, r1), hu_o), b_o_));
-    const Variable candidate = Tanh(
-        AddRows(Add(SliceRows(xw_c, r0, r1), hu_c), b_c_));
-    State next;
-    next.c = Add(Mul(f, state.c), Mul(i, candidate));
-    next.h = Mul(o, Tanh(next.c));
-    state = next;
-    states[reverse ? time_steps - 1 - s : s] = state.h;
-  }
-  return states;
-}
-
 Lstm::Lstm(int input_dim, int hidden_dim, Rng& rng)
     : cell_(input_dim, hidden_dim, rng) {
   AddSubmodule("cell", &cell_);
@@ -114,11 +57,6 @@ Lstm::Lstm(int input_dim, int hidden_dim, Rng& rng)
 std::vector<Variable> Lstm::Run(const std::vector<Variable>& xs,
                                 bool reverse) const {
   TRACER_CHECK(!xs.empty());
-  if (BatchedRnnEnabled()) {
-    return cell_.RunSequence(xs, reverse);
-  }
-  // Per-timestep reference path (TRACER_BATCHED_RNN=0); bitwise identical
-  // forward values to RunSequence.
   const int batch = xs[0].value().rows();
   const int time_steps = static_cast<int>(xs.size());
   LstmCell::State state = cell_.InitialState(batch);

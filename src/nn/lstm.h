@@ -34,14 +34,6 @@ class LstmCell : public Module {
   /// One recurrence step.
   State Step(const autograd::Variable& x, const State& prev) const;
 
-  /// Batch-major sequence run: every timestep's input projection runs as
-  /// one rank-3 BatchMatMul against the column-packed [W_i W_f W_o W_c],
-  /// and each step uses a single recurrent GEMM against the packed
-  /// [U_i U_f U_o U_c]. Forward values are bitwise identical to chaining
-  /// Step (stacking preserves each element's accumulation chain).
-  std::vector<autograd::Variable> RunSequence(
-      const std::vector<autograd::Variable>& xs, bool reverse) const;
-
   int input_dim() const { return input_dim_; }
   int hidden_dim() const { return hidden_dim_; }
 

@@ -81,7 +81,7 @@ double AutogradProfiler::GemmShare() const {
   for (const auto& [op, cell] : cells_) {
     const uint64_t ns = cell.forward_ns + cell.backward_ns;
     total += ns;
-    if (op == "matmul" || op == "batch_matmul") gemm += ns;
+    if (op == "matmul") gemm += ns;
   }
   return total > 0 ? static_cast<double>(gemm) / static_cast<double>(total)
                    : 0.0;

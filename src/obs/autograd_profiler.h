@@ -79,10 +79,9 @@ class AutogradProfiler {
   /// Sum of all recorded forward+backward nanoseconds.
   uint64_t TotalNs() const;
 
-  /// Fraction of recorded time spent in GEMM-backed ops ("matmul" and
-  /// "batch_matmul"), forward and backward combined. 0 when nothing has
-  /// been recorded. The fig14 scalability bench reports this to show the
-  /// batched path is GEMM-bound.
+  /// Fraction of recorded time spent in the GEMM-backed "matmul" op,
+  /// forward and backward combined. 0 when nothing has been recorded. The
+  /// fig14 scalability bench reports this to show training is GEMM-bound.
   double GemmShare() const;
 
   /// Human-readable sorted table, one op per line.

@@ -324,15 +324,6 @@ Kernel ChooseKernel(int64_t m, int64_t n, int64_t k, Variant variant) {
   return Kernel::kNaive;
 }
 
-Kernel ChooseKernel(int64_t batch, int64_t m, int64_t n, int64_t k,
-                    Variant variant) {
-  // Judge the stacked problem: a skinny per-slice shape (m < 8) that the
-  // 2-D heuristic would bounce to naive becomes blockable once the batch
-  // dimension supplies the rows (broadcast-B collapse) or lengthens the
-  // accumulation chains (kTN gradient reduction).
-  return ChooseKernel(batch * m, n, k, variant);
-}
-
 void ReloadKernelEnvForTesting() {
   g_env_kernel.store(-1, std::memory_order_relaxed);
 }
@@ -351,43 +342,6 @@ void Gemm(Variant variant, int m, int n, int k, const float* a,
     GemmBlocked(variant, m, n, k, a, b, c);
   } else {
     GemmNaive(variant, m, n, k, a, b, c);
-  }
-}
-
-void BatchGemm(Variant variant, int batch, int m, int n, int k,
-               const float* a, int64_t a_stride, const float* b,
-               int64_t b_stride, float* c, int64_t c_stride,
-               Kernel kernel) {
-  if (batch <= 0 || m <= 0 || n <= 0 || k <= 0) return;
-  // Collapse 1: broadcast B with contiguously stacked A and C slices. The
-  // batch dimension extends M: one (batch·m)×n GEMM whose row r of slice s
-  // is row s·m+r of the stacked problem. Row stacking never touches an
-  // element's k-chain, so this is bit-identical to the slice loop — and it
-  // is what turns skinny per-slice shapes into one blockable call.
-  if (b_stride == 0 && variant != Variant::kTN &&
-      a_stride == static_cast<int64_t>(m) * k &&
-      c_stride == static_cast<int64_t>(m) * n) {
-    Gemm(variant, batch * m, n, k, a, b, c, kernel);
-    return;
-  }
-  // Collapse 2: kTN reduction of every slice into one C (the batched
-  // weight gradient dW += Σ_s A_sᵀ·B_s). The batch dimension extends K:
-  // op(A) rows of slice s are rows s·k..s·k+k-1 of a (batch·k)×m operand.
-  // Sequential slice calls chain each C element over k ascending, rooted
-  // at the running value; one call over the stacked K walks the exact same
-  // chain (KC-block store/reloads are exact), so bits match the loop.
-  if (variant == Variant::kTN && c_stride == 0 &&
-      a_stride == static_cast<int64_t>(k) * m &&
-      b_stride == static_cast<int64_t>(k) * n) {
-    Gemm(variant, m, n, batch * k, a, b, c, kernel);
-    return;
-  }
-  // General layout: the definitional sequential loop (parallelism lives
-  // inside each 2-D call). Sequential because c_stride == 0 layouts
-  // accumulate into shared output, and determinism wants one slice order.
-  for (int s = 0; s < batch; ++s) {
-    Gemm(variant, m, n, k, a + s * a_stride, b + s * b_stride,
-         c + s * c_stride, kernel);
   }
 }
 

@@ -33,19 +33,6 @@ enum class Kernel {
 void Gemm(Variant variant, int m, int n, int k, const float* a,
           const float* b, float* c, Kernel kernel = Kernel::kAuto);
 
-/// Strided-batch GEMM: for s in [0, batch), C_s += op(A_s)·op(B_s) where
-/// X_s = x + s·x_stride. Passing b_stride == 0 broadcasts one B across the
-/// batch; c_stride == 0 accumulates every slice into one C (useful for the
-/// batched weight-gradient reduction). The result is bitwise identical to
-/// the equivalent sequential loop of 2-D Gemm calls: collapsible layouts
-/// (broadcast-B row stacking, kTN accumulate-into-one-C k stacking) fold
-/// into one large 2-D call whose per-element k-chains coincide with the
-/// loop's, and everything else runs the loop itself.
-void BatchGemm(Variant variant, int batch, int m, int n, int k,
-               const float* a, int64_t a_stride, const float* b,
-               int64_t b_stride, float* c, int64_t c_stride,
-               Kernel kernel = Kernel::kAuto);
-
 /// Reference implementation (canonical accumulation order, no threading).
 void GemmNaive(Variant variant, int m, int n, int k, const float* a,
                const float* b, float* c);
@@ -62,13 +49,6 @@ void GemmBlocked(Variant variant, int m, int n, int k, const float* a,
 /// from 2 rows up while kNN/kTN keep the 8-row guard that protects the
 /// single-visit serve path.
 Kernel ChooseKernel(int64_t m, int64_t n, int64_t k,
-                    Variant variant = Variant::kNN);
-
-/// Batched dispatch: judges the whole batch, not one slice. A per-slice
-/// problem too skinny to block (e.g. 1×384·k gate stacks) still blocks
-/// profitably once the batch stacks rows or k-chains into one large GEMM,
-/// so the heuristic uses batch·m effective rows and batch·m·n·k volume.
-Kernel ChooseKernel(int64_t batch, int64_t m, int64_t n, int64_t k,
                     Variant variant = Variant::kNN);
 
 /// Re-reads TRACER_GEMM (cached after first use). Test hook.

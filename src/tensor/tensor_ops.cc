@@ -105,94 +105,6 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-namespace {
-
-// Shared shape audit for the batched family. Returns whether B broadcasts.
-bool CheckBatchShapes(const Tensor& a, const Tensor& b, const char* op,
-                      int* batch, int* m, int* k, int* n) {
-  TRACER_CHECK_EQ(a.rank(), 3) << op << ": A must be rank-3";
-  *batch = a.dim(0);
-  *m = a.dim(1);
-  *k = a.dim(2);
-  const bool broadcast = b.rank() == 2;
-  if (broadcast) {
-    TRACER_CHECK_EQ(b.rows(), *k) << op << " inner-dimension mismatch";
-    *n = b.cols();
-  } else {
-    TRACER_CHECK_EQ(b.rank(), 3) << op << ": B must be rank-2 or rank-3";
-    TRACER_CHECK_EQ(b.dim(0), *batch) << op << " batch mismatch";
-    TRACER_CHECK_EQ(b.dim(1), *k) << op << " inner-dimension mismatch";
-    *n = b.dim(2);
-  }
-  return broadcast;
-}
-
-}  // namespace
-
-void BatchMatMulAccum(const Tensor& a, const Tensor& b, Tensor* out) {
-  int batch, m, k, n;
-  const bool broadcast = CheckBatchShapes(a, b, "BatchMatMul", &batch, &m,
-                                          &k, &n);
-  TRACER_CHECK(out->rank() == 3 && out->dim(0) == batch &&
-               out->dim(1) == m && out->dim(2) == n);
-  gemm::BatchGemm(gemm::Variant::kNN, batch, m, n, k, a.data(),
-                  static_cast<int64_t>(m) * k, b.data(),
-                  broadcast ? 0 : static_cast<int64_t>(k) * n, out->data(),
-                  static_cast<int64_t>(m) * n);
-}
-
-Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
-  int batch, m, k, n;
-  CheckBatchShapes(a, b, "BatchMatMul", &batch, &m, &k, &n);
-  Tensor out({batch, m, n});
-  BatchMatMulAccum(a, b, &out);
-  return out;
-}
-
-void BatchMatMulTransBAccum(const Tensor& dc, const Tensor& b, Tensor* da) {
-  TRACER_CHECK_EQ(dc.rank(), 3);
-  const int batch = dc.dim(0), m = dc.dim(1), n = dc.dim(2);
-  const bool broadcast = b.rank() == 2;
-  const int k = broadcast ? b.rows() : b.dim(1);
-  if (broadcast) {
-    TRACER_CHECK_EQ(b.cols(), n) << "BatchMatMulTransB shape mismatch";
-  } else {
-    TRACER_CHECK(b.rank() == 3 && b.dim(0) == batch && b.dim(2) == n)
-        << "BatchMatMulTransB shape mismatch";
-  }
-  TRACER_CHECK(da->rank() == 3 && da->dim(0) == batch && da->dim(1) == m &&
-               da->dim(2) == k);
-  // Per slice: dA_s += dC_s · B_sᵀ, i.e. kNT with inner dimension n.
-  gemm::BatchGemm(gemm::Variant::kNT, batch, m, k, n, dc.data(),
-                  static_cast<int64_t>(m) * n, b.data(),
-                  broadcast ? 0 : static_cast<int64_t>(k) * n, da->data(),
-                  static_cast<int64_t>(m) * k);
-}
-
-void BatchMatMulTransAAccum(const Tensor& a, const Tensor& dc, Tensor* db) {
-  TRACER_CHECK_EQ(a.rank(), 3);
-  TRACER_CHECK_EQ(dc.rank(), 3);
-  const int batch = a.dim(0), m = a.dim(1), k = a.dim(2);
-  TRACER_CHECK(dc.dim(0) == batch && dc.dim(1) == m)
-      << "BatchMatMulTransA shape mismatch";
-  const int n = dc.dim(2);
-  const bool reduce = db->rank() == 2;
-  if (reduce) {
-    TRACER_CHECK(db->rows() == k && db->cols() == n)
-        << "BatchMatMulTransA shape mismatch";
-  } else {
-    TRACER_CHECK(db->rank() == 3 && db->dim(0) == batch &&
-                 db->dim(1) == k && db->dim(2) == n)
-        << "BatchMatMulTransA shape mismatch";
-  }
-  // Per slice: dB(_s) += A_sᵀ · dC_s, i.e. kTN with inner dimension m;
-  // c_stride == 0 reduces every slice into the one broadcast gradient.
-  gemm::BatchGemm(gemm::Variant::kTN, batch, k, n, m, a.data(),
-                  static_cast<int64_t>(m) * k, dc.data(),
-                  static_cast<int64_t>(m) * n, db->data(),
-                  reduce ? 0 : static_cast<int64_t>(k) * n);
-}
-
 Tensor Add(const Tensor& a, const Tensor& b) {
   return Binary(a, b, [](float x, float y) { return x + y; }, "Add");
 }

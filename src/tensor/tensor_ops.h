@@ -30,28 +30,6 @@ void MatMulTransAAccum(const Tensor& a, const Tensor& b, Tensor* out);
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 void MatMulTransBAccum(const Tensor& a, const Tensor& b, Tensor* out);
 
-// -- Batched (rank-3) matmul family -------------------------------------
-//
-// A is S×M×K (one matrix per batch slice); B is either S×K×N or a rank-2
-// K×N matrix broadcast across every slice. Results are bitwise identical
-// to the per-slice 2-D loop: the strided-batch kernel (tensor/gemm.h
-// BatchGemm) folds collapsible layouts into one large GEMM whose
-// per-element k-chains coincide with the loop's, which is also what makes
-// skinny per-slice shapes dispatch to the blocked kernel.
-
-/// C_s = A_s · B(_s) → S×M×N.
-Tensor BatchMatMul(const Tensor& a, const Tensor& b);
-void BatchMatMulAccum(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// dA_s += dC_s · B(_s)ᵀ for dC (S×M×N), B (S×K×N or K×N) → dA (S×M×K).
-/// Batched-input gradient.
-void BatchMatMulTransBAccum(const Tensor& dc, const Tensor& b, Tensor* da);
-
-/// dB += A_sᵀ · dC_s for A (S×M×K), dC (S×M×N). With dB rank-3 (S×K×N)
-/// each slice gets its own product; with dB rank-2 (K×N, the broadcast
-/// weight gradient) every slice reduces into it in ascending batch order.
-void BatchMatMulTransAAccum(const Tensor& a, const Tensor& dc, Tensor* db);
-
 /// Elementwise sum; shapes must match.
 Tensor Add(const Tensor& a, const Tensor& b);
 /// Elementwise difference.

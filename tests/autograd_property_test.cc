@@ -124,20 +124,6 @@ std::vector<OpGradCase> AllOpCases() {
        [](const Variable& a, const Variable& b) {
          return MeanAll(MatMul(a, b));
        }},
-      {"BatchMatMul", {2, 3, 4}, {2, 4, 5},
-       [](const Variable& a, const Variable& b) {
-         return MeanAll(BatchMatMul(a, b));
-       }},
-      {"BatchMatMulBroadcastB", {3, 2, 4}, {4, 5},
-       [](const Variable& a, const Variable& b) {
-         // Rank-2 B shared by every slice: its gradient reduces over the
-         // batch in ascending slice order.
-         return MeanAll(BatchMatMul(a, b));
-       }},
-      {"BatchMatMulBatch1", {1, 3, 4}, {1, 4, 5},
-       [](const Variable& a, const Variable& b) {
-         return MeanAll(BatchMatMul(a, b));
-       }},
       {"ConcatRows", {3, 4}, {2, 4},
        [](const Variable& a, const Variable& b) {
          return MeanAll(Tanh(ConcatRows({a, b, a})));
@@ -145,10 +131,6 @@ std::vector<OpGradCase> AllOpCases() {
       {"SliceRows", {5, 3}, {5, 3},
        [](const Variable& a, const Variable& b) {
          return MeanAll(SliceRows(Mul(a, b), 1, 4));
-       }},
-      {"Reshape", {2, 6}, {2, 6},
-       [](const Variable& a, const Variable& b) {
-         return MeanAll(Tanh(Reshape(Mul(a, b), {3, 4})));
        }},
       {"Add", {2, 3}, {2, 3},
        [](const Variable& a, const Variable& b) {

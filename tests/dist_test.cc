@@ -3,11 +3,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/logistic_regression.h"
+#include "core/titv.h"
 #include "datagen/emr_generator.h"
 #include "dist/coordinator.h"
 #include "dist/wire.h"
@@ -288,9 +291,27 @@ Fixture MakeFixture() {
   return f;
 }
 
-baselines::LogisticRegression MakeModel(const Fixture& f) {
-  return baselines::LogisticRegression(
-      f.input_dim, baselines::LrInputMode::kAggregate, 0, /*seed=*/9);
+/// Builds one fresh model replica per worker.
+using ModelFactory = std::function<std::unique_ptr<nn::SequenceModel>()>;
+
+ModelFactory LogisticFactory(const Fixture& f) {
+  return [&f] {
+    return std::make_unique<baselines::LogisticRegression>(
+        f.input_dim, baselines::LrInputMode::kAggregate, 0, /*seed=*/9);
+  };
+}
+
+/// A small TITV: the GRU, attention and FiLM tape rather than one linear
+/// layer, so the all-reduce carries every gradient shape TITV produces.
+ModelFactory TitvFactory(const Fixture& f) {
+  return [&f] {
+    core::TitvConfig config;
+    config.input_dim = f.input_dim;
+    config.rnn_dim = 6;
+    config.film_dim = 6;
+    config.seed = 9;
+    return std::make_unique<core::Titv>(config);
+  };
 }
 
 train::TrainConfig MakeConfig() {
@@ -321,11 +342,12 @@ struct WorkerOut {
 };
 
 /// Runs `world` workers against a coordinator, all in this process (each
-/// worker on its own thread with its own model replica). Returns one
-/// WorkerOut per worker.
+/// worker on its own thread with its own model replica from
+/// `make_model`). Returns one WorkerOut per worker.
 std::vector<WorkerOut> RunEnsemble(const Fixture& f,
                                    const train::TrainConfig& tc,
-                                   DistConfig dc, const std::string& tag) {
+                                   DistConfig dc, const std::string& tag,
+                                   const ModelFactory& make_model) {
   dc.socket_path = TempPath("dist_" + tag + ".sock");
   Coordinator coordinator(dc);
   Status started = coordinator.Start();
@@ -338,9 +360,9 @@ std::vector<WorkerOut> RunEnsemble(const Fixture& f,
       mine.run_state_path = TempPath("dist_" + tag + "_w" +
                                      std::to_string(wi) + ".runstate");
       std::remove(mine.run_state_path.c_str());
-      baselines::LogisticRegression model = MakeModel(f);
+      const std::unique_ptr<nn::SequenceModel> model = make_model();
       Result<train::TrainResult> res = RunElasticWorker(
-          &model, f.splits.train, f.splits.val, tc,
+          model.get(), f.splits.train, f.splits.val, tc,
           train::CheckpointOptions{}, mine);
       WorkerOut& out = outs[static_cast<size_t>(wi)];
       if (res.ok()) {
@@ -349,7 +371,7 @@ std::vector<WorkerOut> RunEnsemble(const Fixture& f,
       } else {
         out.status = res.status();
       }
-      out.state = model.StateDict();
+      out.state = model->StateDict();
       std::remove(mine.run_state_path.c_str());
     });
   }
@@ -364,52 +386,70 @@ std::vector<WorkerOut> RunEnsemble(const Fixture& f,
 TEST(DistTrainTest, SingleWorkerSingleShardMatchesLocalTrainingBitwise) {
   const Fixture f = MakeFixture();
   const train::TrainConfig tc = MakeConfig();
-  baselines::LogisticRegression local = MakeModel(f);
+  const std::unique_ptr<nn::SequenceModel> local = LogisticFactory(f)();
   const train::TrainResult local_result =
-      train::Fit(&local, f.splits.train, f.splits.val, tc);
+      train::Fit(local.get(), f.splits.train, f.splits.val, tc);
 
   DistConfig dc;
   dc.world_size = 1;
   dc.num_shards = 1;
-  const std::vector<WorkerOut> outs = RunEnsemble(f, tc, dc, "w1s1");
+  const std::vector<WorkerOut> outs =
+      RunEnsemble(f, tc, dc, "w1s1", LogisticFactory(f));
   ASSERT_TRUE(outs[0].status.ok()) << outs[0].status.ToString();
   // One shard means the reduction is 1.0f * g — the distributed run is the
   // local run, bit for bit.
-  ExpectBitIdentical(outs[0].state, local.StateDict());
+  ExpectBitIdentical(outs[0].state, local->StateDict());
   ASSERT_EQ(outs[0].train_loss.size(), local_result.train_loss.size());
   for (size_t i = 0; i < local_result.train_loss.size(); ++i) {
     EXPECT_EQ(outs[0].train_loss[i], local_result.train_loss[i]);
   }
 }
 
-TEST(DistTrainTest, WorldSizeIsInvisibleToTheMathForAFixedShardCount) {
-  const Fixture f = MakeFixture();
-  const train::TrainConfig tc = MakeConfig();
-
+/// The determinism contract: for a fixed shard count the reduced
+/// gradients — and therefore the full parameter trajectory — are bitwise
+/// invariant to how many workers computed them.
+void ExpectWorldSizeInvisible(const Fixture& f, const train::TrainConfig& tc,
+                              const ModelFactory& make_model,
+                              const std::string& tag) {
   DistConfig one;
   one.world_size = 1;
   one.num_shards = 4;
-  const std::vector<WorkerOut> single = RunEnsemble(f, tc, one, "w1s4");
+  const std::vector<WorkerOut> single =
+      RunEnsemble(f, tc, one, tag + "_w1s4", make_model);
   ASSERT_TRUE(single[0].status.ok()) << single[0].status.ToString();
 
   DistConfig two;
   two.world_size = 2;
   two.num_shards = 4;
-  const std::vector<WorkerOut> pair = RunEnsemble(f, tc, two, "w2s4");
+  const std::vector<WorkerOut> pair =
+      RunEnsemble(f, tc, two, tag + "_w2s4", make_model);
   ASSERT_TRUE(pair[0].status.ok()) << pair[0].status.ToString();
   ASSERT_TRUE(pair[1].status.ok()) << pair[1].status.ToString();
 
-  // The determinism contract: for a fixed shard count the reduced
-  // gradients — and therefore the full parameter trajectory — are bitwise
-  // invariant to how many workers computed them.
   ExpectBitIdentical(pair[0].state, single[0].state);
   // And lockstep replication: both workers end with identical parameters.
   ExpectBitIdentical(pair[0].state, pair[1].state);
+  ASSERT_EQ(single[0].train_loss.size(),
+            static_cast<size_t>(tc.max_epochs));
   ASSERT_EQ(pair[0].train_loss.size(), single[0].train_loss.size());
+  ASSERT_EQ(pair[1].train_loss.size(), single[0].train_loss.size());
   for (size_t i = 0; i < single[0].train_loss.size(); ++i) {
     EXPECT_EQ(pair[0].train_loss[i], single[0].train_loss[i]);
     EXPECT_EQ(pair[1].train_loss[i], single[0].train_loss[i]);
   }
+}
+
+TEST(DistTrainTest, WorldSizeIsInvisibleToTheMathForAFixedShardCount) {
+  const Fixture f = MakeFixture();
+  ExpectWorldSizeInvisible(f, MakeConfig(), LogisticFactory(f), "lr");
+}
+
+TEST(DistTrainTest, TitvWorldSizeIsInvisibleToTheMath) {
+  // The same contract through TITV's GRU, attention and FiLM tape.
+  const Fixture f = MakeFixture();
+  train::TrainConfig tc = MakeConfig();
+  tc.max_epochs = 2;
+  ExpectWorldSizeInvisible(f, tc, TitvFactory(f), "titv");
 }
 
 TEST(DistTrainTest, TransportFaultStormDoesNotChangeTheResult) {
@@ -420,7 +460,8 @@ TEST(DistTrainTest, TransportFaultStormDoesNotChangeTheResult) {
   DistConfig dc;
   dc.world_size = 2;
   dc.num_shards = 4;
-  const std::vector<WorkerOut> calm = RunEnsemble(f, tc, dc, "calm");
+  const std::vector<WorkerOut> calm =
+      RunEnsemble(f, tc, dc, "calm", LogisticFactory(f));
   ASSERT_TRUE(calm[0].status.ok()) << calm[0].status.ToString();
 
   // Low-probability transient faults on every dist fault point: retries
@@ -432,7 +473,8 @@ TEST(DistTrainTest, TransportFaultStormDoesNotChangeTheResult) {
           .Configure("dist.send:0.02:0,dist.recv:0.02:0,dist.heartbeat:0.05:0",
                      1234)
           .ok());
-  const std::vector<WorkerOut> stormy = RunEnsemble(f, tc, dc, "storm");
+  const std::vector<WorkerOut> stormy =
+      RunEnsemble(f, tc, dc, "storm", LogisticFactory(f));
   faults.Clear();
   ASSERT_TRUE(stormy[0].status.ok()) << stormy[0].status.ToString();
   ASSERT_TRUE(stormy[1].status.ok()) << stormy[1].status.ToString();

@@ -97,13 +97,6 @@ TEST(GemmTest, ZeroSizedDimsAreNoOps) {
   }
   EXPECT_EQ(std::memcmp(c.data(), before.data(), c.size() * sizeof(float)),
             0);
-  // Batched degenerate dims: batch == 0 and k == 0 leave C untouched.
-  for (const Variant v : kVariants) {
-    BatchGemm(v, 0, 8, 8, 8, a.data(), 64, b.data(), 64, c.data(), 64);
-    BatchGemm(v, 2, 8, 8, 0, a.data(), 0, b.data(), 0, c.data(), 64);
-  }
-  EXPECT_EQ(std::memcmp(c.data(), before.data(), c.size() * sizeof(float)),
-            0);
 }
 
 TEST(GemmTest, BlockedIsBitIdenticalAcrossThreadCounts) {
@@ -233,148 +226,6 @@ TEST(GemmTest, FlopCountIsTwoMnk) {
   EXPECT_EQ(FlopCount(2, 3, 4), 48);
   EXPECT_EQ(FlopCount(0, 3, 4), 0);
   EXPECT_EQ(FlopCount(1024, 1024, 1024), 2LL * 1024 * 1024 * 1024);
-}
-
-struct BatchShape {
-  int batch, m, n, k;
-};
-
-/// Batched layouts the autograd ops actually emit: broadcast-B forward
-/// (b_stride 0), per-slice B, reducing kTN weight gradient (c_stride 0),
-/// plus skinny per-slice shapes where only the batch supplies the rows.
-const BatchShape kBatchGrid[] = {
-    {1, 5, 7, 9},   {4, 8, 8, 8},    {7, 3, 33, 5},
-    {16, 4, 24, 12}, {3, 37, 17, 29}, {32, 2, 48, 48},
-};
-
-/// Definitional reference: one 2-D Gemm per slice, same kernel.
-void SliceLoop(Variant v, const BatchShape& s, const float* a,
-               int64_t a_stride, const float* b, int64_t b_stride, float* c,
-               int64_t c_stride, Kernel kernel) {
-  for (int i = 0; i < s.batch; ++i) {
-    Gemm(v, s.m, s.n, s.k, a + i * a_stride, b + i * b_stride,
-         c + i * c_stride, kernel);
-  }
-}
-
-TEST(GemmTest, BatchGemmMatchesSliceLoopBitwise) {
-  ThreadBudgetGuard guard;
-  parallel::SetMaxThreads(4);
-  for (const BatchShape& s : kBatchGrid) {
-    std::vector<float> a(static_cast<size_t>(s.batch) * s.m * s.k);
-    std::vector<float> b(static_cast<size_t>(s.batch) * s.k * s.n);
-    std::vector<float> c0(static_cast<size_t>(s.batch) * s.m * s.n);
-    FillPseudo(&a, 19u * s.batch + s.m);
-    FillPseudo(&b, 23u * s.n + s.k);
-    FillPseudo(&c0, 29u * s.batch + s.n);
-    const int64_t am = static_cast<int64_t>(s.m) * s.k;
-    const int64_t bm = static_cast<int64_t>(s.k) * s.n;
-    const int64_t cm = static_cast<int64_t>(s.m) * s.n;
-    for (const Variant v : kVariants) {
-      for (const Kernel kernel :
-           {Kernel::kAuto, Kernel::kNaive, Kernel::kBlocked}) {
-        // Per-slice B (general layout).
-        std::vector<float> c_batch = c0, c_loop = c0;
-        BatchGemm(v, s.batch, s.m, s.n, s.k, a.data(), am, b.data(), bm,
-                  c_batch.data(), cm, kernel);
-        SliceLoop(v, s, a.data(), am, b.data(), bm, c_loop.data(), cm,
-                  kernel);
-        EXPECT_EQ(std::memcmp(c_batch.data(), c_loop.data(),
-                              c_batch.size() * sizeof(float)),
-                  0)
-            << "per-slice B, variant " << static_cast<int>(v);
-        // Broadcast B (the forward collapse path).
-        c_batch = c0;
-        c_loop = c0;
-        BatchGemm(v, s.batch, s.m, s.n, s.k, a.data(), am, b.data(), 0,
-                  c_batch.data(), cm, kernel);
-        SliceLoop(v, s, a.data(), am, b.data(), 0, c_loop.data(), cm,
-                  kernel);
-        EXPECT_EQ(std::memcmp(c_batch.data(), c_loop.data(),
-                              c_batch.size() * sizeof(float)),
-                  0)
-            << "broadcast B, variant " << static_cast<int>(v);
-      }
-    }
-    // Reducing kTN (the broadcast-weight gradient): every slice accumulates
-    // into one k×n output, and the K-stacked collapse must walk the exact
-    // same per-element chain as the slice loop.
-    std::vector<float> cr0(static_cast<size_t>(s.k) * s.n);
-    FillPseudo(&cr0, 31u * s.k + s.n);
-    for (const Kernel kernel :
-         {Kernel::kAuto, Kernel::kNaive, Kernel::kBlocked}) {
-      std::vector<float> c_batch = cr0, c_loop = cr0;
-      // kTN: per-slice op(A) is k×m → problem (m'=k, n'=n, k'=m) with
-      // operands A slice m×k, B slice m×n. Reuse a as A (stride m·k) and
-      // c0's worth of data as B (stride m·n).
-      BatchGemm(Variant::kTN, s.batch, s.k, s.n, s.m, a.data(), am,
-                c0.data(), cm, c_batch.data(), 0, kernel);
-      for (int i = 0; i < s.batch; ++i) {
-        Gemm(Variant::kTN, s.k, s.n, s.m, a.data() + i * am,
-             c0.data() + i * cm, c_loop.data(), kernel);
-      }
-      EXPECT_EQ(std::memcmp(c_batch.data(), c_loop.data(),
-                            c_batch.size() * sizeof(float)),
-                0)
-          << "reducing kTN, batch " << s.batch;
-    }
-  }
-}
-
-TEST(GemmTest, BatchGemmBitIdenticalAcrossThreadCountsAndKernelEnv) {
-  ThreadBudgetGuard guard;
-  // Skinny slices, large batch: per-slice the heuristic would go naive,
-  // stacked it goes blocked — exactly the shape class whose bits must not
-  // depend on that choice or on the thread budget.
-  const BatchShape s{48, 4, 64, 64};
-  std::vector<float> a(static_cast<size_t>(s.batch) * s.m * s.k);
-  std::vector<float> b(static_cast<size_t>(s.k) * s.n);
-  std::vector<float> c0(static_cast<size_t>(s.batch) * s.m * s.n);
-  FillPseudo(&a, 41);
-  FillPseudo(&b, 43);
-  FillPseudo(&c0, 47);
-  const int64_t am = static_cast<int64_t>(s.m) * s.k;
-  const int64_t cm = static_cast<int64_t>(s.m) * s.n;
-  unsetenv("TRACER_GEMM");
-  ReloadKernelEnvForTesting();
-  parallel::SetMaxThreads(1);
-  std::vector<float> reference = c0;
-  BatchGemm(Variant::kNN, s.batch, s.m, s.n, s.k, a.data(), am, b.data(),
-            0, reference.data(), cm);
-  for (const char* env : {"naive", "blocked", "auto"}) {
-    setenv("TRACER_GEMM", env, 1);
-    ReloadKernelEnvForTesting();
-    for (const int threads : {1, 2, 4, 8}) {
-      parallel::SetMaxThreads(threads);
-      std::vector<float> c = c0;
-      BatchGemm(Variant::kNN, s.batch, s.m, s.n, s.k, a.data(), am,
-                b.data(), 0, c.data(), cm);
-      EXPECT_EQ(std::memcmp(c.data(), reference.data(),
-                            c.size() * sizeof(float)),
-                0)
-          << "TRACER_GEMM=" << env << " at " << threads << " threads";
-    }
-  }
-  unsetenv("TRACER_GEMM");
-  ReloadKernelEnvForTesting();
-}
-
-TEST(GemmTest, BatchedChooseKernelJudgesStackedShape) {
-  unsetenv("TRACER_GEMM");
-  ReloadKernelEnvForTesting();
-  // Per-slice the TITV attention projection is skinny (m = 4 < 8) and
-  // small (4·64·64 < 32768): naive. Stacked over the sequence it is one
-  // 256-row problem: blocked.
-  EXPECT_EQ(ChooseKernel(4, 64, 64), Kernel::kNaive);
-  EXPECT_EQ(ChooseKernel(/*batch=*/64, 4, 64, 64), Kernel::kBlocked);
-  // A batch of scalar rows still isn't worth packing.
-  EXPECT_EQ(ChooseKernel(/*batch=*/4, 1, 8, 8), Kernel::kNaive);
-  // Env override flows through the batched overload too.
-  setenv("TRACER_GEMM", "naive", 1);
-  ReloadKernelEnvForTesting();
-  EXPECT_EQ(ChooseKernel(/*batch=*/64, 4, 64, 64), Kernel::kNaive);
-  unsetenv("TRACER_GEMM");
-  ReloadKernelEnvForTesting();
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +8,8 @@
 #include "core/titv.h"
 #include "data/dataset.h"
 #include "datagen/emr_generator.h"
+#include "parallel/parallel_for.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "train/trainer.h"
 
@@ -47,6 +51,39 @@ TEST(TitvTest, ForwardOutputShape) {
       model.Forward(nn::SequenceModel::ToVariables(batch));
   EXPECT_EQ(out.value().rows(), 6);
   EXPECT_EQ(out.value().cols(), 1);
+}
+
+TEST(TitvTest, ForwardBitwiseStableAcrossKernelAndThreads) {
+  // Every GEMM kernel shares one per-element accumulation order and the
+  // blocked kernel partitions whole output rows, so the forward pass must
+  // not move by a bit under any TRACER_GEMM selection or thread budget
+  // (DESIGN.md "Compute kernels").
+  const int prev_threads = parallel::MaxThreads();
+  TitvConfig config = SmallConfig(6);
+  config.rnn_dim = 12;
+  config.seed = 23;
+  Titv model(config);
+  const std::vector<autograd::Variable> xs =
+      nn::SequenceModel::ToVariables(RandomBatch(8, 5, 6, 29));
+
+  parallel::SetMaxThreads(1);
+  const Tensor reference = model.Forward(xs).value();
+  for (const char* env : {"naive", "blocked", "auto"}) {
+    setenv("TRACER_GEMM", env, 1);
+    gemm::ReloadKernelEnvForTesting();
+    for (const int threads : {1, 2, 4, 8}) {
+      parallel::SetMaxThreads(threads);
+      const Tensor out = model.Forward(xs).value();
+      EXPECT_TRUE(out.SameShape(reference) &&
+                  std::memcmp(out.data(), reference.data(),
+                              static_cast<size_t>(out.size()) *
+                                  sizeof(float)) == 0)
+          << "TRACER_GEMM=" << env << " threads=" << threads;
+    }
+  }
+  unsetenv("TRACER_GEMM");
+  gemm::ReloadKernelEnvForTesting();
+  parallel::SetMaxThreads(prev_threads);
 }
 
 TEST(TitvTest, AblationsProduceFiniteOutputs) {

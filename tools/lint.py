@@ -43,16 +43,6 @@ guards out of the box:
                              point is dead chaos surface: nothing proves it
                              fires, nothing proves the code behind it
                              survives the injected failure.
-  R9 no-looped-matmul        Model code under src/core/ and src/nn/ may not
-                             call the rank-2 MatMul inside a for-loop body:
-                             per-timestep GEMM loops are exactly what the
-                             batched rank-3 path (BatchMatMul + stacking)
-                             replaced, and a loop of skinny GEMMs silently
-                             falls off the blocked kernel's dispatch
-                             heuristic. Deliberate recurrences (the h_t
-                             dependency no stacking can remove) carry a
-                             `lint:allow-looped-matmul` marker on the same
-                             or preceding line.
 
 Runs as `ctest -R lint` (registered in the top-level CMakeLists.txt) and
 standalone:  tools/lint.py --root <repo-root>
@@ -359,71 +349,6 @@ def check_fault_points(path, with_strings, findings, root):
                          "src/fault/fault_points.h" % name)
 
 
-LOOPED_MATMUL_DIRS = (
-    os.path.join("src", "core") + os.sep,
-    os.path.join("src", "nn") + os.sep,
-)
-LOOPED_MATMUL_MARKER = "lint:allow-looped-matmul"
-
-
-def _matching_delimiter(text, start, open_ch, close_ch):
-    """Index of the delimiter closing the one at `start`, or -1."""
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == open_ch:
-            depth += 1
-        elif text[i] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def check_looped_matmul(path, raw, text, findings, root):
-    """R9: rank-2 MatMul lexically inside a for-loop body in model code.
-
-    Lexical containment is the right sensitivity: a helper that wraps the
-    call hides nothing (the helper is flagged if it loops), while the
-    recurrence loops that legitimately need a per-step GEMM are few enough
-    to annotate explicitly.
-    """
-    rel = os.path.relpath(path, root)
-    if not rel.endswith(".cc") or not rel.startswith(LOOPED_MATMUL_DIRS):
-        return
-    allow_lines = set()
-    for i, line in enumerate(raw.splitlines()):
-        if LOOPED_MATMUL_MARKER in line:
-            allow_lines.add(i + 1)
-    reported = set()
-    for loop in re.finditer(r"(?<![\w_])for\s*\(", text):
-        close = _matching_delimiter(text, loop.end() - 1, "(", ")")
-        if close == -1:
-            continue
-        body_start = close + 1
-        while body_start < len(text) and text[body_start] in " \t\n":
-            body_start += 1
-        if body_start < len(text) and text[body_start] == "{":
-            body_end = _matching_delimiter(text, body_start, "{", "}")
-            if body_end == -1:
-                body_end = len(text)
-        else:
-            body_end = text.find(";", body_start)
-            if body_end == -1:
-                body_end = len(text)
-        body = text[body_start:body_end]
-        for match in re.finditer(r"(?<![\w_])MatMul\s*\(", body):
-            line = line_of(text, body_start + match.start())
-            if line in reported:
-                continue
-            if line in allow_lines or line - 1 in allow_lines:
-                continue
-            reported.add(line)
-            findings.add(path, line, "no-looped-matmul",
-                         "rank-2 MatMul inside a for-loop: stack the "
-                         "operands and use BatchMatMul (or mark a true "
-                         "recurrence with `%s`)" % LOOPED_MATMUL_MARKER)
-
-
 def check_header_guard(path, text, findings, root):
     rel = os.path.relpath(path, os.path.join(root, "src"))
     if rel.startswith("..") or not path.endswith(".h"):
@@ -467,7 +392,6 @@ def main():
         check_unchecked_status(path, text, findings, status_functions)
         check_raw_io(path, text, findings, root)
         check_fault_points(path, with_strings, findings, root)
-        check_looped_matmul(path, raw, text, findings, root)
         check_header_guard(path, text, findings, root)
 
     for rel, line, rule, message in sorted(findings.items):
