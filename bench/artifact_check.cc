@@ -89,18 +89,19 @@ bool CheckFile(const std::string& path) {
     }
   }
   // The scalability artifact must carry the multi-process elastic series
-  // alongside the thread-parallel ones — it is the only perf trend that
-  // watches the src/dist runtime, so a run that silently dropped it would
-  // leave the distributed path unmonitored.
+  // for both cohorts (W = 1, 2, 4 each) — it is Figure 14's only series and
+  // the only perf trend that watches the src/dist runtime, so a run that
+  // silently dropped a cohort or a world size would go unmeasured.
   if (text.find("\"bench\":\"fig14_scalability\"") != std::string::npos) {
-    for (const char* workers : {"1", "2", "4"}) {
-      const std::string section =
-          std::string("\"name\":\"multiprocess/workers:") + workers + "\"";
-      if (text.find(section) == std::string::npos) {
-        std::printf("FAIL %s: missing multi-process series section "
-                    "multiprocess/workers:%s\n",
-                    path.c_str(), workers);
-        return false;
+    for (const char* cohort : {"aki", "mimic"}) {
+      for (const char* workers : {"1", "2", "4"}) {
+        const std::string name =
+            std::string("multiprocess/") + cohort + "/workers:" + workers;
+        if (text.find("\"name\":\"" + name + "\"") == std::string::npos) {
+          std::printf("FAIL %s: missing multi-process series section %s\n",
+                      path.c_str(), name.c_str());
+          return false;
+        }
       }
     }
     // The 128-dim profile series carries the GEMM-bound gate: both trainer

@@ -24,10 +24,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/logistic_regression.h"
@@ -168,7 +170,9 @@ int WorkerMain(int argc, char** argv) {
   const std::vector<Tensor> state = model.StateDict();
   std::vector<std::pair<std::string, Tensor>> named;
   for (size_t i = 0; i < state.size(); ++i) {
-    named.emplace_back("t" + std::to_string(i), state[i]);
+    std::string name = "t";
+    name += std::to_string(i);
+    named.emplace_back(std::move(name), state[i]);
   }
   return nn::SaveCheckpoint(params_out, named).ok() ? 0 : 5;
 }
@@ -315,7 +319,8 @@ int LauncherMain(int world_size, const std::string& chaos) {
     std::fprintf(stderr, "reference run failed\n");
     return 1;
   }
-  std::printf("  done: %d steps all-reduced, %d joins, %d evictions\n",
+  std::printf("  done: %" PRId64 " steps all-reduced, %" PRId64
+              " joins, %" PRId64 " evictions\n",
               ref_coord.steps_reduced(), ref_coord.joins(),
               ref_coord.evictions());
   if (chaos == "none") {
@@ -347,7 +352,8 @@ int LauncherMain(int world_size, const std::string& chaos) {
     std::fprintf(stderr, "chaos run failed\n");
     return 1;
   }
-  std::printf("  done: %d steps all-reduced, %d joins, %d evictions\n",
+  std::printf("  done: %" PRId64 " steps all-reduced, %" PRId64
+              " joins, %" PRId64 " evictions\n",
               coord.steps_reduced(), coord.joins(), coord.evictions());
 
   // --- The acceptance bar: surviving workers end bitwise identical to the

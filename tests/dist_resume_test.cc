@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/logistic_regression.h"
@@ -172,7 +173,9 @@ int DistWorkerMain(int argc, char** argv) {
   const std::vector<Tensor> state = model.StateDict();
   std::vector<std::pair<std::string, Tensor>> named;
   for (size_t i = 0; i < state.size(); ++i) {
-    named.emplace_back("t" + std::to_string(i), state[i]);
+    std::string name = "t";
+    name += std::to_string(i);
+    named.emplace_back(std::move(name), state[i]);
   }
   const Status saved = nn::SaveCheckpoint(params_out, named);
   return saved.ok() ? 0 : 5;

@@ -273,9 +273,9 @@ struct Fixture {
   int input_dim;
 };
 
-Fixture MakeFixture() {
+Fixture MakeFixture(int samples = 160) {
   datagen::EmrCohortConfig gen = datagen::NuhAkiDefaultConfig();
-  gen.num_samples = 160;
+  gen.num_samples = samples;
   gen.num_filler_features = 2;
   gen.deteriorating_rate = 0.3;
   gen.seed = 55;
@@ -287,6 +287,7 @@ Fixture MakeFixture() {
   norm.Fit(f.splits.train);
   norm.Apply(&f.splits.train);
   norm.Apply(&f.splits.val);
+  norm.Apply(&f.splits.test);
   f.input_dim = cohort.dataset.num_features();
   return f;
 }
@@ -450,6 +451,32 @@ TEST(DistTrainTest, TitvWorldSizeIsInvisibleToTheMath) {
   train::TrainConfig tc = MakeConfig();
   tc.max_epochs = 2;
   ExpectWorldSizeInvisible(f, tc, TitvFactory(f), "titv");
+}
+
+TEST(DistTrainTest, TitvShardedTrainingMatchesLocalQuality) {
+  // World-size invariance pins W; this pins S. Four shard gradients reduced
+  // across two workers must train a TITV as good as the local loop does.
+  const Fixture f = MakeFixture(600);
+  train::TrainConfig tc = MakeConfig();
+  tc.max_epochs = 12;
+  tc.learning_rate = 3e-3f;
+  const std::unique_ptr<nn::SequenceModel> local = TitvFactory(f)();
+  train::Fit(local.get(), f.splits.train, f.splits.val, tc);
+  const double local_auc = train::Evaluate(local.get(), f.splits.test).auc;
+  // The comparison only means something if the local model learned.
+  ASSERT_GT(local_auc, 0.7);
+
+  DistConfig dc;
+  dc.world_size = 2;
+  dc.num_shards = 4;
+  const std::vector<WorkerOut> outs =
+      RunEnsemble(f, tc, dc, "quality", TitvFactory(f));
+  ASSERT_TRUE(outs[0].status.ok()) << outs[0].status.ToString();
+  const std::unique_ptr<nn::SequenceModel> sharded = TitvFactory(f)();
+  sharded->LoadStateDict(outs[0].state);
+  const double sharded_auc =
+      train::Evaluate(sharded.get(), f.splits.test).auc;
+  EXPECT_NEAR(sharded_auc, local_auc, 0.08);
 }
 
 TEST(DistTrainTest, TransportFaultStormDoesNotChangeTheResult) {

@@ -2,7 +2,6 @@
 // on, validated end-to-end at small scale.
 
 #include <cmath>
-#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "datagen/stock_generator.h"
 #include "datagen/temperature_generator.h"
 #include "metrics/metrics.h"
-#include "parallel/data_parallel.h"
 #include "train/trainer.h"
 
 namespace tracer {
@@ -185,44 +183,6 @@ TEST(IntegrationTest, BaselinesLandInSaneBand) {
   const double retain_auc =
       train::Evaluate(&retain, cohort.splits.test).auc;
   EXPECT_GT(retain_auc, 0.6);
-}
-
-// Data-parallel training converges to a model of comparable quality to
-// single-threaded training (not just matching loss curves — also AUC).
-TEST(IntegrationTest, DataParallelQualityMatchesSerial) {
-  Cohort cohort = PrepareAki(800, 59);
-  auto factory = [&]() -> std::unique_ptr<nn::SequenceModel> {
-    core::TitvConfig config;
-    config.input_dim = cohort.input_dim;
-    config.rnn_dim = 8;
-    config.film_dim = 8;
-    config.seed = 13;
-    return std::make_unique<core::Titv>(config);
-  };
-  train::TrainConfig tc;
-  tc.max_epochs = 15;
-  tc.patience = 15;
-  tc.learning_rate = 3e-3f;
-
-  core::TitvConfig config;
-  config.input_dim = cohort.input_dim;
-  config.rnn_dim = 8;
-  config.film_dim = 8;
-  config.seed = 13;
-  core::Titv serial_model(config);
-  const train::TrainResult serial =
-      train::Fit(&serial_model, cohort.splits.train, cohort.splits.val, tc);
-  const double serial_auc =
-      train::Evaluate(&serial_model, cohort.splits.test).auc;
-
-  core::Titv parallel_model(config);
-  parallel::DataParallelTrainer trainer(&parallel_model, factory, 3);
-  trainer.Fit(cohort.splits.train, cohort.splits.val, tc);
-  const double parallel_auc =
-      train::Evaluate(&parallel_model, cohort.splits.test).auc;
-
-  EXPECT_NEAR(parallel_auc, serial_auc, 0.08);
-  (void)serial;
 }
 
 }  // namespace

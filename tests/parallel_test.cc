@@ -1,18 +1,12 @@
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/logistic_regression.h"
-#include "core/titv.h"
-#include "datagen/emr_generator.h"
-#include "parallel/data_parallel.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
-#include "train/trainer.h"
 
 namespace tracer {
 namespace parallel {
@@ -215,114 +209,6 @@ TEST(ParallelForTest, SetMaxThreadsRoundTrips) {
   EXPECT_EQ(MaxThreads(), 3);
   SetMaxThreads(1);
   EXPECT_EQ(MaxThreads(), 1);
-}
-
-struct Fixture {
-  data::DatasetSplits splits;
-  int input_dim;
-};
-
-Fixture MakeFixture() {
-  datagen::EmrCohortConfig gen = datagen::NuhAkiDefaultConfig();
-  gen.num_samples = 300;
-  gen.num_filler_features = 2;
-  gen.deteriorating_rate = 0.3;
-  gen.seed = 31;
-  datagen::EmrCohort cohort = datagen::GenerateNuhAkiCohort(gen);
-  Rng rng(2);
-  Fixture f;
-  f.splits = data::SplitDataset(cohort.dataset, rng);
-  data::MinMaxNormalizer norm;
-  norm.Fit(f.splits.train);
-  norm.Apply(&f.splits.train);
-  norm.Apply(&f.splits.val);
-  f.input_dim = cohort.dataset.num_features();
-  return f;
-}
-
-core::TitvConfig SmallTitv(int input_dim) {
-  core::TitvConfig config;
-  config.input_dim = input_dim;
-  config.rnn_dim = 6;
-  config.film_dim = 6;
-  config.seed = 7;
-  return config;
-}
-
-TEST(DataParallelTest, MultiWorkerMatchesSingleWorkerTrajectory) {
-  // With identical seeds and deterministic sharding, K-worker training
-  // computes the same averaged gradient as 1-worker training, so the loss
-  // trajectories must agree closely.
-  Fixture f = MakeFixture();
-  train::TrainConfig tc;
-  tc.max_epochs = 3;
-  tc.batch_size = 32;
-  tc.patience = 10;
-  tc.seed = 4;
-
-  core::Titv single_model(SmallTitv(f.input_dim));
-  DataParallelTrainer single(
-      &single_model,
-      [&] { return std::make_unique<core::Titv>(SmallTitv(f.input_dim)); },
-      1);
-  const ParallelTrainResult r1 = single.Fit(f.splits.train, f.splits.val, tc);
-
-  core::Titv multi_model(SmallTitv(f.input_dim));
-  DataParallelTrainer multi(
-      &multi_model,
-      [&] { return std::make_unique<core::Titv>(SmallTitv(f.input_dim)); },
-      4);
-  const ParallelTrainResult r4 = multi.Fit(f.splits.train, f.splits.val, tc);
-
-  ASSERT_EQ(r1.val_loss.size(), r4.val_loss.size());
-  for (size_t e = 0; e < r1.val_loss.size(); ++e) {
-    EXPECT_NEAR(r1.val_loss[e], r4.val_loss[e], 5e-3)
-        << "epoch " << e << " diverged between 1 and 4 workers";
-  }
-}
-
-TEST(DataParallelTest, TrainingReducesLoss) {
-  Fixture f = MakeFixture();
-  train::TrainConfig tc;
-  tc.max_epochs = 6;
-  tc.batch_size = 32;
-  tc.patience = 10;
-  core::Titv model(SmallTitv(f.input_dim));
-  DataParallelTrainer trainer(
-      &model,
-      [&] { return std::make_unique<core::Titv>(SmallTitv(f.input_dim)); },
-      2);
-  const ParallelTrainResult r = trainer.Fit(f.splits.train, f.splits.val, tc);
-  EXPECT_LT(r.train_loss.back(), r.train_loss.front());
-  EXPECT_GT(r.controlling_seconds, 0.0);
-  EXPECT_LE(r.controlling_seconds, r.seconds);
-}
-
-TEST(ScalabilityModelTest, MoreWorkersNeverSlower) {
-  double prev = ModeledConvergenceSeconds(10.0, 0.5, 1, 20);
-  for (int workers : {2, 4, 8}) {
-    const double t = ModeledConvergenceSeconds(10.0, 0.5, workers, 20);
-    EXPECT_LT(t, prev);
-    prev = t;
-  }
-}
-
-TEST(ScalabilityModelTest, ControllingCostBoundsSpeedup) {
-  // As workers → ∞ the convergence time approaches epochs × controlling.
-  const double t = ModeledConvergenceSeconds(10.0, 0.5, 1 << 20, 20);
-  EXPECT_NEAR(t, 20 * 0.5, 1e-3);
-}
-
-TEST(ScalabilityModelTest, SubLinearSpeedupWhenControllingDominates) {
-  // Small dataset: compute 1s/epoch, controlling 0.5s/epoch → speedup at 8
-  // workers is far below 8× (the NUH-AKI panel of Figure 14).
-  const double t1 = ModeledConvergenceSeconds(1.0, 0.5, 1, 10);
-  const double t8 = ModeledConvergenceSeconds(1.0, 0.5, 8, 10);
-  EXPECT_LT(t1 / t8, 3.0);
-  // Large dataset: compute 20s/epoch → near-linear scaling (MIMIC panel).
-  const double big1 = ModeledConvergenceSeconds(20.0, 0.5, 1, 10);
-  const double big8 = ModeledConvergenceSeconds(20.0, 0.5, 8, 10);
-  EXPECT_GT(big1 / big8, 5.0);
 }
 
 }  // namespace
