@@ -88,6 +88,23 @@ bool CheckFile(const std::string& path) {
       }
     }
   }
+  // The GEMM artifact must carry the 16×16×26 rows (a dim-16 recurrent
+  // step on a 16-row MIMIC-III batch) for both kernels and every variant:
+  // they are the evidence the auto dispatch rule's constants rest on, so a
+  // run that dropped them would leave the rule unmeasured.
+  if (text.find("\"bench\":\"gemm\"") != std::string::npos) {
+    for (const char* variant : {"nn", "tn", "nt"}) {
+      for (const char* kernel : {"naive", "blocked"}) {
+        const std::string name = std::string("BM_Gemm/") + variant + "_" +
+                                 kernel + "/16/16/26/1/real_time";
+        if (text.find("\"name\":\"" + name + "\"") == std::string::npos) {
+          std::printf("FAIL %s: missing small-shape GEMM row %s\n",
+                      path.c_str(), name.c_str());
+          return false;
+        }
+      }
+    }
+  }
   // The scalability artifact must carry the multi-process elastic series
   // for both cohorts (W = 1, 2, 4 each) — it is Figure 14's only series and
   // the only perf trend that watches the src/dist runtime, so a run that

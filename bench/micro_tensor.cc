@@ -91,16 +91,24 @@ void BM_Gemm(benchmark::State& state, gemm::Variant variant,
   parallel::SetMaxThreads(prev_threads);
 }
 
-// Square shapes track raw kernel throughput; {64,48,76} and {64,16,64} are
-// TITV-layer shapes (batch 64, input 76, rnn/film dims); {1,48,76} is the
-// serving single-visit path, which the dispatch heuristic keeps on the
-// naive kernel.
+// Square shapes track raw kernel throughput. {64,48,76} and {64,16,64} are
+// TITV-layer shapes at batch 64 (input 76, rnn/film dims). The small rows
+// are the per-timestep recurrent products the dispatch constants in
+// tensor/gemm.cc were derived from: {16,16,16} and {16,16,26} are the
+// MIMIC-III (D=26) BiGRU h·U and x·W steps at dim 16 on a 16-row shard
+// (train_dist) or server batch, {8,16,31} the NUH-AKI (D=31) x·W step at
+// an 8-row batch, and {16,1,26} the n=1 output layer, which auto keeps
+// naive. {1,48,76} is the single-visit serve path, also kept naive.
 #define TRACER_GEMM_SHAPES                                                  \
   Args({128, 128, 128, 1})                                                  \
       ->Args({256, 256, 256, 1})                                            \
       ->Args({512, 512, 512, 1})                                            \
       ->Args({64, 48, 76, 1})                                               \
       ->Args({64, 16, 64, 1})                                               \
+      ->Args({16, 16, 16, 1})                                               \
+      ->Args({16, 16, 26, 1})                                               \
+      ->Args({8, 16, 31, 1})                                                \
+      ->Args({16, 1, 26, 1})                                                \
       ->Args({1, 48, 76, 1})
 
 #define TRACER_GEMM_THREAD_SWEEP                                            \

@@ -37,16 +37,19 @@ constexpr int NR = 8;
 constexpr int MC = 128;
 constexpr int KC = 256;
 
-// Dispatch thresholds (see DESIGN.md "Compute kernels"): packing costs
-// O(k·n + m·k) against O(m·n·k) compute, so tiny or single-row problems
-// (the serve scoring path) stay on the naive kernel.
-constexpr int64_t kBlockedMinMnk = int64_t{32} * 1024;
+// Dispatch guards (see DESIGN.md "Compute kernels", measured with the
+// BM_Gemm small-shape rows). With the single-task path below, the blocked
+// kernel's fixed cost is its packing, and it beats naive from the first
+// full register tile: 8×16×31 and 16×16×26 already run ~2× faster. There
+// is no volume floor. The row guard keeps single-visit serve scoring and
+// other few-row products naive; the naive kNT kernel is a dot-product
+// reduction (nothing contiguous to vectorize) that blocked beats from 2
+// rows up, so kNT gets its own, lower guard.
 constexpr int kBlockedMinRows = 8;
-// The naive kNT kernel is a dot-product reduction (no contiguous
-// accumulation to vectorize), measured ~4 GF/s regardless of row count,
-// while the blocked kernel's B-packing absorbs the transpose. The packing
-// only fails to amortize at a single row, so kNT blocks from 2 rows up.
 constexpr int kBlockedMinRowsNt = 2;
+// At n = 1 (the output layer) only one of the micro-kernel's NR lanes does
+// useful work, and naive wins or ties for every variant.
+constexpr int kBlockedMinCols = 2;
 // Minimum flops a ParallelFor task should amortize its scheduling over.
 constexpr int64_t kMinFlopsPerTask = int64_t{1} << 21;
 
@@ -91,6 +94,15 @@ int EnvKernel() {
   return cached;
 }
 
+/// True when ParallelFor(grain, n, fn) would run all of [0, n) as one chunk
+/// on the caller. Such calls invoke the body directly instead: the same
+/// code in the same order, without building a heap-allocated
+/// std::function per call — the recurrent per-timestep GEMMs are all
+/// single-task and run thousands of times per training step.
+bool IsSingleTask(int64_t grain, int64_t n) {
+  return n <= grain || parallel::MaxThreads() <= 1;
+}
+
 // -- Packing ------------------------------------------------------------
 //
 // B is packed once per call into column panels of NR: for panel p the
@@ -102,7 +114,7 @@ void PackBPanels(Variant variant, int n, int k, const float* b, float* bp) {
   const int panels = (n + NR - 1) / NR;
   const int64_t grain =
       std::max<int64_t>(1, kMinFlopsPerTask / (int64_t{2} * k * NR));
-  parallel::ParallelFor(grain, panels, [&](int64_t p0, int64_t p1) {
+  const auto pack = [&](int64_t p0, int64_t p1) {
     for (int64_t p = p0; p < p1; ++p) {
       const int j0 = static_cast<int>(p) * NR;
       const int nr = std::min(NR, n - j0);
@@ -124,7 +136,12 @@ void PackBPanels(Variant variant, int n, int k, const float* b, float* bp) {
         }
       }
     }
-  });
+  };
+  if (IsSingleTask(grain, panels)) {
+    pack(0, panels);
+  } else {
+    parallel::ParallelFor(grain, panels, pack);
+  }
 }
 
 // A tile [i0, i0+mc) × [k0, k0+kc) packed into MR row panels:
@@ -305,6 +322,10 @@ void GemmBlocked(Variant variant, int m, int n, int k, const float* a,
   const int64_t grain =
       std::max<int64_t>(1, kMinFlopsPerTask / std::max<int64_t>(
                                                   flops_per_unit, 1));
+  if (IsSingleTask(grain, row_units)) {
+    BlockedRows(variant, m, n, k, a, bp_data, c, 0, m);
+    return;
+  }
   parallel::ParallelFor(grain, row_units, [&](int64_t u0, int64_t u1) {
     BlockedRows(variant, m, n, k, a, bp_data, c,
                 static_cast<int>(u0 * MR),
@@ -313,14 +334,13 @@ void GemmBlocked(Variant variant, int m, int n, int k, const float* a,
 }
 
 Kernel ChooseKernel(int64_t m, int64_t n, int64_t k, Variant variant) {
+  (void)k;
   const int env = EnvKernel();
   if (env == 1) return Kernel::kNaive;
   if (env == 2) return Kernel::kBlocked;
   const int min_rows =
       variant == Variant::kNT ? kBlockedMinRowsNt : kBlockedMinRows;
-  if (m * n * k >= kBlockedMinMnk && m >= min_rows) {
-    return Kernel::kBlocked;
-  }
+  if (m >= min_rows && n >= kBlockedMinCols) return Kernel::kBlocked;
   return Kernel::kNaive;
 }
 

@@ -42,12 +42,13 @@ void GemmBlocked(Variant variant, int m, int n, int k, const float* a,
                  const float* b, float* c);
 
 /// The kernel kAuto resolves to for this shape: TRACER_GEMM=naive|blocked
-/// forces a family; otherwise small problems stay on the naive kernel
-/// (packing overhead dominates) and everything else goes blocked. The
-/// variant matters: the naive kNT kernel is a dot-product reduction that
-/// defeats vectorization (~4 GF/s flat at any row count), so kNT blocks
-/// from 2 rows up while kNN/kTN keep the 8-row guard that protects the
-/// single-visit serve path.
+/// forces a family; otherwise the rule is shape-derived, with no volume
+/// floor. Blocked from 8 rows up (kNN/kTN) or 2 rows up (kNT, whose naive
+/// kernel is an unvectorizable dot reduction), so the 16-row per-timestep
+/// recurrent products run blocked while single-visit serve scoring stays
+/// naive. Products with one output column (n = 1, the output layer) stay
+/// naive for every variant. Measured crossovers: DESIGN.md "Compute
+/// kernels".
 Kernel ChooseKernel(int64_t m, int64_t n, int64_t k,
                     Variant variant = Variant::kNN);
 

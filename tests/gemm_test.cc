@@ -33,12 +33,17 @@ struct Shape {
 };
 
 /// Square, tails (non-multiple of every block/tile size), single row/col,
-/// TITV-like skinny, and degenerate-dimension shapes.
+/// TITV-like skinny, and degenerate-dimension shapes, plus the per-timestep
+/// recurrent products auto dispatches to the blocked kernel (dim 16 on a
+/// 16-row MIMIC-III batch: x·W, h·U and their backward products; the 8-row
+/// NUH-AKI x·W step) and the n = 1 output-layer products it keeps naive.
 const Shape kShapeGrid[] = {
     {1, 1, 1},     {4, 8, 16},    {5, 7, 9},      {37, 33, 41},
     {64, 48, 76},  {64, 16, 64},  {128, 128, 128}, {129, 65, 33},
     {1, 64, 64},   {64, 1, 64},   {64, 64, 1},    {3, 130, 5},
-    {130, 3, 257}, {96, 72, 300},
+    {130, 3, 257}, {96, 72, 300}, {16, 16, 16},   {16, 16, 26},
+    {16, 26, 16},  {26, 16, 16},  {8, 16, 31},    {16, 1, 26},
+    {26, 1, 16},
 };
 
 const Variant kVariants[] = {Variant::kNN, Variant::kTN, Variant::kNT};
@@ -101,28 +106,31 @@ TEST(GemmTest, ZeroSizedDimsAreNoOps) {
 
 TEST(GemmTest, BlockedIsBitIdenticalAcrossThreadCounts) {
   ThreadBudgetGuard guard;
-  // Large enough that ParallelFor actually splits (several MR row units per
-  // chunk at every budget below).
-  const Shape s{512, 96, 96};
-  std::vector<float> a(static_cast<size_t>(s.m) * s.k);
-  std::vector<float> b(static_cast<size_t>(s.k) * s.n);
-  std::vector<float> c0(static_cast<size_t>(s.m) * s.n);
-  FillPseudo(&a, 101);
-  FillPseudo(&b, 202);
-  FillPseudo(&c0, 303);
-  for (const Variant v : kVariants) {
-    parallel::SetMaxThreads(1);
-    std::vector<float> reference = c0;
-    GemmBlocked(v, s.m, s.n, s.k, a.data(), b.data(), reference.data());
-    for (const int threads : {2, 3, 4, 8}) {
-      parallel::SetMaxThreads(threads);
-      std::vector<float> c = c0;
-      GemmBlocked(v, s.m, s.n, s.k, a.data(), b.data(), c.data());
-      EXPECT_EQ(std::memcmp(c.data(), reference.data(),
-                            c.size() * sizeof(float)),
-                0)
-          << "variant " << static_cast<int>(v) << " at " << threads
-          << " threads";
+  // {512, 96, 96} is large enough that ParallelFor actually splits (several
+  // MR row units per chunk at every budget below). {16, 16, 26} is a
+  // recurrent-step product that is one task at every budget, so it runs
+  // the inline single-task path that skips ParallelFor.
+  for (const Shape& s : {Shape{512, 96, 96}, Shape{16, 16, 26}}) {
+    std::vector<float> a(static_cast<size_t>(s.m) * s.k);
+    std::vector<float> b(static_cast<size_t>(s.k) * s.n);
+    std::vector<float> c0(static_cast<size_t>(s.m) * s.n);
+    FillPseudo(&a, 101);
+    FillPseudo(&b, 202);
+    FillPseudo(&c0, 303);
+    for (const Variant v : kVariants) {
+      parallel::SetMaxThreads(1);
+      std::vector<float> reference = c0;
+      GemmNaive(v, s.m, s.n, s.k, a.data(), b.data(), reference.data());
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        parallel::SetMaxThreads(threads);
+        std::vector<float> c = c0;
+        GemmBlocked(v, s.m, s.n, s.k, a.data(), b.data(), c.data());
+        EXPECT_EQ(std::memcmp(c.data(), reference.data(),
+                              c.size() * sizeof(float)),
+                  0)
+            << "variant " << static_cast<int>(v) << " shape " << s.m << "x"
+            << s.n << "x" << s.k << " at " << threads << " threads";
+      }
     }
   }
 }
@@ -148,22 +156,45 @@ TEST(GemmTest, ChooseKernelHeuristicAndEnvOverride) {
   // Guard against a stale cached value from another test.
   unsetenv("TRACER_GEMM");
   ReloadKernelEnvForTesting();
-  // Small problems and single rows stay on the reference kernel; large
-  // batched problems go blocked.
-  EXPECT_EQ(ChooseKernel(8, 8, 8), Kernel::kNaive);
-  EXPECT_EQ(ChooseKernel(1, 512, 512), Kernel::kNaive);  // serve row path
+  // There is no volume floor: from 8 rows up, every kNN/kTN product with
+  // more than one output column goes blocked, including the per-timestep
+  // recurrent products (dim 16 on 16-row MIMIC-III and 8-row NUH-AKI
+  // batches) and their backward products.
   EXPECT_EQ(ChooseKernel(256, 256, 256), Kernel::kBlocked);
+  EXPECT_EQ(ChooseKernel(8, 8, 8), Kernel::kBlocked);
+  for (const Variant v : kVariants) {
+    EXPECT_EQ(ChooseKernel(16, 16, 16, v), Kernel::kBlocked);
+    EXPECT_EQ(ChooseKernel(16, 16, 26, v), Kernel::kBlocked);
+    EXPECT_EQ(ChooseKernel(16, 26, 16, v), Kernel::kBlocked);
+    EXPECT_EQ(ChooseKernel(26, 16, 16, v), Kernel::kBlocked);
+    EXPECT_EQ(ChooseKernel(8, 16, 31, v), Kernel::kBlocked);
+  }
+  // The output layer's backward input gradient (kNT with k = 1) too.
+  EXPECT_EQ(ChooseKernel(16, 26, 1, Variant::kNT), Kernel::kBlocked);
 
-  // The kNT variant (backward input gradients) blocks from two rows up:
-  // its naive kernel is an unvectorizable dot reduction, so only the
-  // single-row shape keeps the reference kernel.
-  EXPECT_EQ(ChooseKernel(1, 512, 512, Variant::kNT), Kernel::kNaive);
-  EXPECT_EQ(ChooseKernel(2, 512, 512, Variant::kNT), Kernel::kBlocked);
-  EXPECT_EQ(ChooseKernel(4, 128, 128, Variant::kNT), Kernel::kBlocked);
+  // Single rows (the serve scoring path) stay on the reference kernel.
+  for (const Variant v : kVariants) {
+    EXPECT_EQ(ChooseKernel(1, 512, 512, v), Kernel::kNaive);
+  }
+  // Below 8 rows kNN/kTN stay naive; the kNT variant (backward input
+  // gradients) blocks from two rows up, because its naive kernel is an
+  // unvectorizable dot reduction.
   EXPECT_EQ(ChooseKernel(4, 128, 128, Variant::kNN), Kernel::kNaive);
   EXPECT_EQ(ChooseKernel(4, 128, 128, Variant::kTN), Kernel::kNaive);
-  // Volume floor still applies to kNT.
-  EXPECT_EQ(ChooseKernel(2, 32, 32, Variant::kNT), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(7, 16, 26, Variant::kNN), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(7, 16, 26, Variant::kTN), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(2, 512, 512, Variant::kNT), Kernel::kBlocked);
+  EXPECT_EQ(ChooseKernel(4, 128, 128, Variant::kNT), Kernel::kBlocked);
+  EXPECT_EQ(ChooseKernel(2, 32, 32, Variant::kNT), Kernel::kBlocked);
+
+  // One output column (the n = 1 output layer: forward and weight
+  // gradient) stays naive at any row count.
+  EXPECT_EQ(ChooseKernel(16, 1, 26, Variant::kNN), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(26, 1, 16, Variant::kTN), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(512, 1, 512, Variant::kNN), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(512, 1, 512, Variant::kTN), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(16, 1, 26, Variant::kNT), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(16, 2, 26, Variant::kNN), Kernel::kBlocked);
 
   setenv("TRACER_GEMM", "naive", 1);
   ReloadKernelEnvForTesting();
@@ -172,10 +203,11 @@ TEST(GemmTest, ChooseKernelHeuristicAndEnvOverride) {
   setenv("TRACER_GEMM", "blocked", 1);
   ReloadKernelEnvForTesting();
   EXPECT_EQ(ChooseKernel(8, 8, 8), Kernel::kBlocked);
+  EXPECT_EQ(ChooseKernel(1, 512, 512), Kernel::kBlocked);
 
   setenv("TRACER_GEMM", "auto", 1);
   ReloadKernelEnvForTesting();
-  EXPECT_EQ(ChooseKernel(8, 8, 8), Kernel::kNaive);
+  EXPECT_EQ(ChooseKernel(1, 512, 512), Kernel::kNaive);
   EXPECT_EQ(ChooseKernel(256, 256, 256), Kernel::kBlocked);
 
   unsetenv("TRACER_GEMM");

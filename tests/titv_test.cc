@@ -8,6 +8,8 @@
 #include "core/titv.h"
 #include "data/dataset.h"
 #include "datagen/emr_generator.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "parallel/parallel_for.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -84,6 +86,44 @@ TEST(TitvTest, ForwardBitwiseStableAcrossKernelAndThreads) {
   unsetenv("TRACER_GEMM");
   gemm::ReloadKernelEnvForTesting();
   parallel::SetMaxThreads(prev_threads);
+}
+
+TEST(TitvTest, RecurrentStepGemmsDispatchToBlockedKernel) {
+  // Model-level dispatch gate: at dim 16 on a 16-row MIMIC-III-shaped batch
+  // (T = 24, D = 26), every per-timestep recurrent product and its backward
+  // products must run on the blocked kernel under TRACER_GEMM=auto. The
+  // only naive calls are the two n = 1 output-layer products the rule
+  // names: the forward 16×1×26 kNN and the weight gradient 26×1×16 kTN.
+  unsetenv("TRACER_GEMM");
+  gemm::ReloadKernelEnvForTesting();
+  TitvConfig config = SmallConfig(26);
+  config.rnn_dim = 16;
+  config.film_dim = 16;
+  Titv model(config);
+  const data::Batch batch = RandomBatch(16, 24, 26, 31);
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* calls = registry.GetOrCreateCounter("tracer_gemm_calls_total");
+  obs::Counter* blocked =
+      registry.GetOrCreateCounter("tracer_gemm_blocked_calls_total");
+  const int64_t calls_before = calls->value();
+  const int64_t blocked_before = blocked->value();
+  autograd::Variable out =
+      model.Forward(nn::SequenceModel::ToVariables(batch));
+  autograd::Variable loss =
+      autograd::BinaryCrossEntropyWithLogits(out, batch.labels);
+  for (auto& p : model.Parameters()) p.ZeroGrad();
+  loss.Backward();
+  const int64_t total_calls = calls->value() - calls_before;
+  const int64_t blocked_calls = blocked->value() - blocked_before;
+  obs::SetEnabled(was_enabled);
+
+  // Two BiGRUs × two directions × 24 steps × 6 forward products alone.
+  EXPECT_GT(total_calls, 2 * 2 * 24 * 6);
+  EXPECT_EQ(total_calls - blocked_calls, 2)
+      << blocked_calls << " of " << total_calls << " GEMM calls ran blocked";
 }
 
 TEST(TitvTest, AblationsProduceFiniteOutputs) {
