@@ -1,6 +1,7 @@
 // Micro-benchmarks for the model-level building blocks: one GRU step, a
-// full BiGRU pass, TITV forward and forward+backward, the Eq. 17 feature
-// importance extraction, and a GBDT tree fit. These quantify where
+// full BiGRU pass (forward, and forward+backward at the train_dist shape),
+// TITV forward and forward+backward, the Eq. 17 feature importance
+// extraction, and a GBDT tree fit. These quantify where
 // training time goes and back the ablation discussion in DESIGN.md.
 
 #include <benchmark/benchmark.h>
@@ -58,6 +59,28 @@ void BM_BiGruSequence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BiGruSequence)->Arg(7)->Arg(24);
+
+// Forward + backward of one BiGRU at the train_dist shape: a 16-row shard,
+// MIMIC's 26 features, hidden 16, T = 24. The inputs take gradients, as they
+// do behind TITV's FiLM modulation. Each step records six matmul nodes and
+// one gru_gates node; this row prices that recurrent core, which BM_GruStep
+// (forward only, 64 rows) does not.
+void BM_BiGruForwardBackward(benchmark::State& state) {
+  Rng rng(4);
+  nn::BiGru rnn(26, 16, rng);
+  std::vector<Variable> leaves = rnn.Parameters();
+  std::vector<Variable> xs;
+  for (int t = 0; t < 24; ++t) {
+    xs.push_back(Variable::Parameter(Tensor::Randn({16, 26}, rng)));
+    leaves.push_back(xs.back());
+  }
+  for (auto _ : state) {
+    autograd::MeanAll(autograd::Average(rnn.Run(xs))).Backward();
+    benchmark::DoNotOptimize(xs[0].grad().data());
+    for (Variable& leaf : leaves) leaf.ZeroGrad();
+  }
+}
+BENCHMARK(BM_BiGruForwardBackward);
 
 core::TitvConfig BenchTitvConfig(int dims) {
   core::TitvConfig config;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -206,6 +207,43 @@ std::string CheckRowSums(const Node& n) {
   return "";
 }
 
+// Fused gate blocks (autograd::GruGates / LstmGates): every parent is an
+// M×N projection or state except the 1×N biases at `bias_slots`; the output
+// is M×(out_blocks·N).
+std::string CheckGateBlock(const Node& n,
+                           std::initializer_list<size_t> bias_slots,
+                           int out_blocks) {
+  const Tensor& like = n.parents[0]->value;
+  if (!IsMatrix(like) || !IsMatrix(n.value)) {
+    return std::string(n.op) + " requires rank-2 tensors";
+  }
+  const int m = like.rows(), cols = like.cols();
+  for (size_t i = 0; i < n.parents.size(); ++i) {
+    const Tensor& p = n.parents[i]->value;
+    bool bias = false;
+    for (size_t slot : bias_slots) bias = bias || slot == i;
+    const int rows = bias ? 1 : m;
+    if (!IsMatrix(p) || p.rows() != rows || p.cols() != cols) {
+      return "input " + std::to_string(i) + " is " + ShapeStr(p) +
+             ", expected [" + std::to_string(rows) + "x" +
+             std::to_string(cols) + "]";
+    }
+  }
+  if (n.value.rows() != m || n.value.cols() != out_blocks * cols) {
+    return "output " + ShapeStr(n.value) + " but inputs are " +
+           ShapeStr(like) + " per gate";
+  }
+  return "";
+}
+
+std::string CheckGruGates(const Node& n) {
+  return CheckGateBlock(n, {2, 6, 8}, 1);
+}
+
+std::string CheckLstmGates(const Node& n) {
+  return CheckGateBlock(n, {2, 5, 9, 12}, 2);
+}
+
 std::string CheckScalarOutput(const Node& n) {
   if (n.value.size() != 1) {
     return "reduction output must be a single scalar, got " +
@@ -230,6 +268,8 @@ const std::unordered_map<std::string_view, OpShapeRule>& ShapeRules() {
           {"sigmoid", {1, CheckElementwiseSame}},
           {"tanh", {1, CheckElementwiseSame}},
           {"relu", {1, CheckElementwiseSame}},
+          {"gru_gates", {10, CheckGruGates}},
+          {"lstm_gates", {13, CheckLstmGates}},
           {"concat_cols", {2, CheckConcatCols}},
           {"slice_cols", {1, CheckSliceCols}},
           {"softmax_rows", {1, CheckElementwiseSame}},

@@ -38,6 +38,32 @@ Variable Sigmoid(const Variable& a);
 Variable Tanh(const Variable& a);
 Variable Relu(const Variable& a);
 
+// Fused recurrent gate blocks. Each records one tape node over the step's
+// precomputed projections (the MatMuls stay separate "matmul" nodes), and
+// its value and every gradient are bitwise-equal to the composed
+// Add/AddRows/Sigmoid/Tanh/OneMinus/Mul ops it replaces, provided the
+// projections are passed as below (DESIGN "Fused recurrent gates").
+// Projections and states are M×N, biases 1×N.
+
+/// GRU gates (Eq. 6–9), tape name "gru_gates":
+///   z = σ(xz + hz + b_z),  r = σ(xr + hr + b_r),
+///   ĥ = tanh(xh + r ⊙ hh + b_h),  h = (1 − z) ⊙ ĥ + z ⊙ h_prev → M×N.
+Variable GruGates(const Variable& xz, const Variable& hz, const Variable& b_z,
+                  const Variable& xr, const Variable& hr, const Variable& b_r,
+                  const Variable& xh, const Variable& hh, const Variable& b_h,
+                  const Variable& h_prev);
+
+/// LSTM gates, tape name "lstm_gates":
+///   i = σ(xi + hi + b_i),  f = σ(xf + hf + b_f),  o = σ(xo + ho + b_o),
+///   c̃ = tanh(xc + hc + b_c),  c = f ⊙ c_prev + i ⊙ c̃,  h = o ⊙ tanh(c).
+/// A tape node holds one value, so it returns [h | c] (M×2N); split it with
+/// SliceCols.
+Variable LstmGates(const Variable& xi, const Variable& hi, const Variable& b_i,
+                   const Variable& xf, const Variable& hf, const Variable& b_f,
+                   const Variable& xo, const Variable& ho, const Variable& b_o,
+                   const Variable& xc, const Variable& hc, const Variable& b_c,
+                   const Variable& c_prev);
+
 /// Horizontal concatenation (equal row counts).
 Variable ConcatCols(const Variable& a, const Variable& b);
 /// Concatenates many matrices left-to-right.

@@ -25,13 +25,9 @@ GruCell::GruCell(int input_dim, int hidden_dim, Rng& rng)
 
 Variable GruCell::Step(const Variable& x, const Variable& h_prev) const {
   using namespace autograd;  // NOLINT
-  const Variable z = Sigmoid(
-      AddRows(Add(MatMul(x, w_z_), MatMul(h_prev, u_z_)), b_z_));
-  const Variable r = Sigmoid(
-      AddRows(Add(MatMul(x, w_r_), MatMul(h_prev, u_r_)), b_r_));
-  const Variable h_tilde = Tanh(AddRows(
-      Add(MatMul(x, w_h_), Mul(r, MatMul(h_prev, u_h_))), b_h_));
-  return Add(Mul(OneMinus(z), h_tilde), Mul(z, h_prev));
+  return GruGates(MatMul(x, w_z_), MatMul(h_prev, u_z_), b_z_,
+                  MatMul(x, w_r_), MatMul(h_prev, u_r_), b_r_,
+                  MatMul(x, w_h_), MatMul(h_prev, u_h_), b_h_, h_prev);
 }
 
 Gru::Gru(int input_dim, int hidden_dim, Rng& rng)

@@ -35,17 +35,14 @@ LstmCell::State LstmCell::InitialState(int batch_size) const {
 
 LstmCell::State LstmCell::Step(const Variable& x, const State& prev) const {
   using namespace autograd;  // NOLINT
-  const Variable i = Sigmoid(
-      AddRows(Add(MatMul(x, w_i_), MatMul(prev.h, u_i_)), b_i_));
-  const Variable f = Sigmoid(
-      AddRows(Add(MatMul(x, w_f_), MatMul(prev.h, u_f_)), b_f_));
-  const Variable o = Sigmoid(
-      AddRows(Add(MatMul(x, w_o_), MatMul(prev.h, u_o_)), b_o_));
-  const Variable candidate = Tanh(
-      AddRows(Add(MatMul(x, w_c_), MatMul(prev.h, u_c_)), b_c_));
+  const Variable h_and_c = LstmGates(
+      MatMul(x, w_i_), MatMul(prev.h, u_i_), b_i_,
+      MatMul(x, w_f_), MatMul(prev.h, u_f_), b_f_,
+      MatMul(x, w_o_), MatMul(prev.h, u_o_), b_o_,
+      MatMul(x, w_c_), MatMul(prev.h, u_c_), b_c_, prev.c);
   State next;
-  next.c = Add(Mul(f, prev.c), Mul(i, candidate));
-  next.h = Mul(o, Tanh(next.c));
+  next.h = SliceCols(h_and_c, 0, hidden_dim_);
+  next.c = SliceCols(h_and_c, hidden_dim_, 2 * hidden_dim_);
   return next;
 }
 

@@ -233,15 +233,7 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  return Elementwise(a, [](float x) {
-    // Stable: avoid exp overflow for large |x|.
-    if (x >= 0.0f) {
-      const float z = std::exp(-x);
-      return 1.0f / (1.0f + z);
-    }
-    const float z = std::exp(x);
-    return z / (1.0f + z);
-  });
+  return Elementwise(a, [](float x) { return SigmoidScalar(x); });
 }
 
 Tensor Tanh(const Tensor& a) {

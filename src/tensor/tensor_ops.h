@@ -1,6 +1,8 @@
 #ifndef TRACER_TENSOR_TENSOR_OPS_H_
 #define TRACER_TENSOR_TENSOR_OPS_H_
 
+#include <cmath>
+
 #include "tensor/tensor.h"
 
 namespace tracer {
@@ -60,6 +62,18 @@ Tensor MulColBroadcast(const Tensor& mat, const Tensor& col);
 Tensor Scale(const Tensor& a, float s);
 /// Scalar add.
 Tensor AddScalar(const Tensor& a, float s);
+
+/// Logistic function of one value, in the overflow-safe form (no exp of a
+/// large positive argument). Sigmoid and the fused recurrent-gate ops
+/// (autograd/ops.h) share it, so their gates agree bit for bit.
+inline float SigmoidScalar(float x) {
+  if (x >= 0.0f) {
+    const float z = std::exp(-x);
+    return 1.0f / (1.0f + z);
+  }
+  const float z = std::exp(x);
+  return z / (1.0f + z);
+}
 
 // Elementwise nonlinearities.
 Tensor Sigmoid(const Tensor& a);

@@ -104,7 +104,8 @@ TEST(AutogradStressTest, WideFanOutAccumulates) {
 // Every differentiable op in autograd/ops.h appears below exactly once, so
 // a new op cannot ship without finite-difference verification: add a case
 // here when adding an op (the graph validator's shape rules in
-// graph_check.cc should gain a matching entry too).
+// graph_check.cc should gain a matching entry too). The fused gate ops take
+// ten or thirteen operands and are checked after the two-operand table.
 
 struct OpGradCase {
   const char* name;
@@ -244,6 +245,83 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OpGradCase>& param_info) {
       return std::string(param_info.param.name);
     });
+
+// Operands of a fused gate op: M×N projections and state, 1×N biases at
+// `bias_slots` (in the op's argument order), all trainable.
+std::vector<Variable> GateOperands(int count, std::vector<int> bias_slots,
+                                   Rng& rng) {
+  std::vector<Variable> operands;
+  for (int k = 0; k < count; ++k) {
+    bool bias = false;
+    for (int b : bias_slots) bias = bias || b == k;
+    operands.push_back(
+        Variable::Parameter(Tensor::Randn({bias ? 1 : 3, 4}, rng, 0.5f)));
+  }
+  return operands;
+}
+
+void ExpectGateGradsMatch(const char* op,
+                          const std::function<Variable()>& forward,
+                          const std::vector<Variable>& operands) {
+  for (size_t k = 0; k < operands.size(); ++k) {
+    if (!operands[k].requires_grad()) continue;
+    EXPECT_LT(MaxGradError(forward, operands[k]), 2e-2f)
+        << op << " operand " << k;
+  }
+}
+
+// Each case sums the gate output under fixed random weights, so every
+// output entry carries a different gradient. The constant-state cases pass
+// the previous state as Gru::Run / LstmCell::InitialState build it: a
+// Constant, which must receive no gradient while the rest still check.
+
+Variable GruGatesLoss(const std::vector<Variable>& v, const Variable& w) {
+  return SumAll(Mul(
+      GruGates(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9]),
+      w));
+}
+
+Variable LstmGatesLoss(const std::vector<Variable>& v, const Variable& w) {
+  return SumAll(Mul(LstmGates(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7],
+                              v[8], v[9], v[10], v[11], v[12]),
+                    w));
+}
+
+TEST(FusedGateGradCheckTest, GruGatesAllOperands) {
+  Rng rng(21);
+  const std::vector<Variable> v = GateOperands(10, {2, 5, 8}, rng);
+  const Variable w = Variable::Constant(Tensor::Randn({3, 4}, rng));
+  ExpectGateGradsMatch("GruGates", [&] { return GruGatesLoss(v, w); }, v);
+}
+
+TEST(FusedGateGradCheckTest, GruGatesConstantInitialState) {
+  Rng rng(22);
+  std::vector<Variable> v = GateOperands(10, {2, 5, 8}, rng);
+  v[9] = Variable::Constant(Tensor::Randn({3, 4}, rng, 0.5f));
+  const Variable w = Variable::Constant(Tensor::Randn({3, 4}, rng));
+  GruGatesLoss(v, w).Backward();
+  EXPECT_FALSE(v[9].node()->grad_allocated);
+  ExpectGateGradsMatch("GruGates", [&] { return GruGatesLoss(v, w); }, v);
+  EXPECT_FALSE(v[9].node()->grad_allocated);
+}
+
+TEST(FusedGateGradCheckTest, LstmGatesAllOperands) {
+  Rng rng(23);
+  const std::vector<Variable> v = GateOperands(13, {2, 5, 8, 11}, rng);
+  const Variable w = Variable::Constant(Tensor::Randn({3, 8}, rng));
+  ExpectGateGradsMatch("LstmGates", [&] { return LstmGatesLoss(v, w); }, v);
+}
+
+TEST(FusedGateGradCheckTest, LstmGatesConstantInitialState) {
+  Rng rng(24);
+  std::vector<Variable> v = GateOperands(13, {2, 5, 8, 11}, rng);
+  v[12] = Variable::Constant(Tensor::Randn({3, 4}, rng, 0.5f));
+  const Variable w = Variable::Constant(Tensor::Randn({3, 8}, rng));
+  LstmGatesLoss(v, w).Backward();
+  EXPECT_FALSE(v[12].node()->grad_allocated);
+  ExpectGateGradsMatch("LstmGates", [&] { return LstmGatesLoss(v, w); }, v);
+  EXPECT_FALSE(v[12].node()->grad_allocated);
+}
 
 TEST(AutogradStressTest, RepeatedBackwardWithZeroGradIsIdempotent) {
   Rng rng(11);

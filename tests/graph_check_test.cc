@@ -97,6 +97,50 @@ TEST(GraphCheckTest, DetectsWrongArity) {
   EXPECT_NE(issue->message.find("expects 2 input(s)"), std::string::npos);
 }
 
+// A fused gate node over M×N parents, except 1×N at the bias slots; the
+// parent at `bad_slot` is one column too wide.
+NodePtr MakeGateNode(const char* op, int arity, std::vector<int> bias_slots,
+                     int out_cols, int bad_slot) {
+  std::vector<NodePtr> parents;
+  for (int slot = 0; slot < arity; ++slot) {
+    bool bias = false;
+    for (int b : bias_slots) bias = bias || b == slot;
+    const int cols = slot == bad_slot ? 5 : 4;
+    parents.push_back(
+        Variable::Parameter(Tensor::Zeros({bias ? 1 : 3, cols})).node());
+  }
+  return MakeRawNode(op, Tensor::Zeros({3, out_cols}), std::move(parents),
+                     /*with_backward=*/true);
+}
+
+TEST(GraphCheckTest, GruGatesRuleChecksEveryOperand) {
+  EXPECT_TRUE(ValidateGraph(Variable(MakeGateNode("gru_gates", 10, {2, 6, 8},
+                                                  4, /*bad_slot=*/-1)))
+                  .ok());
+  // A 1×5 update-gate bias against 3×4 projections.
+  const GraphReport report = ValidateGraph(
+      Variable(MakeGateNode("gru_gates", 10, {2, 6, 8}, 4, /*bad_slot=*/2)));
+  const GraphIssue* issue = FindIssue(report, GraphIssueKind::kShapeMismatch);
+  ASSERT_NE(issue, nullptr) << report.ToString();
+  EXPECT_EQ(issue->op, std::string("gru_gates"));
+  EXPECT_NE(issue->message.find("input 2"), std::string::npos)
+      << issue->message;
+}
+
+TEST(GraphCheckTest, LstmGatesRuleChecksEveryOperand) {
+  const std::vector<int> biases = {2, 5, 9, 12};
+  EXPECT_TRUE(ValidateGraph(Variable(MakeGateNode("lstm_gates", 13, biases, 8,
+                                                  /*bad_slot=*/-1)))
+                  .ok());
+  // A 1×5 candidate bias; then an [h | c] output of the wrong width.
+  EXPECT_TRUE(HasIssue(ValidateGraph(Variable(MakeGateNode(
+                           "lstm_gates", 13, biases, 8, /*bad_slot=*/12))),
+                       GraphIssueKind::kShapeMismatch));
+  EXPECT_TRUE(HasIssue(ValidateGraph(Variable(MakeGateNode(
+                           "lstm_gates", 13, biases, 4, /*bad_slot=*/-1))),
+                       GraphIssueKind::kShapeMismatch));
+}
+
 TEST(GraphCheckTest, DetectsDanglingNode) {
   Variable a = Variable::Parameter(Tensor::Zeros({2, 2}));
   // Interior node with parents but no backward closure: gradient flow into

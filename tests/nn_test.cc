@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,12 +11,16 @@
 #include "nn/module.h"
 #include "nn/serialization.h"
 #include "tensor/tensor_ops.h"
+#include "tests/bitwise_oracle.h"
 
 namespace tracer {
 namespace nn {
 namespace {
 
 using autograd::Variable;
+using testutil::ExpectSameGrads;
+using testutil::HarvestGrads;
+using testutil::SameBytes;
 
 TEST(LinearTest, OutputShapeAndAffine) {
   Rng rng(1);
@@ -167,6 +172,136 @@ TEST(BiGruTest, BackwardHalfSeesOnlyFuture) {
   const Tensor base_fwd = SliceCols(base[3].value(), 0, 3);
   const Tensor changed_fwd = SliceCols(changed[3].value(), 0, 3);
   EXPECT_GT(MaxAbsDiff(base_fwd, changed_fwd), 1e-6f);
+}
+
+// ---- Fused gate oracle ----------------------------------------------------
+//
+// GruCell::Step records its gates as one "gru_gates" node. The composed ops
+// that node replaced live on here as the oracle: the value and every
+// gradient must match them byte for byte (DESIGN "Fused recurrent gates").
+
+struct GruParams {
+  Variable w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h;
+};
+
+// The nine GRU tensors registered under `prefix` ("" for a bare cell).
+GruParams GruParamsOf(const Module& module, const std::string& prefix) {
+  const auto by_name = testutil::ParamsByName(module);
+  auto p = [&](const char* name) {
+    return testutil::Param(by_name, prefix + name);
+  };
+  return {p("w_z"), p("u_z"), p("b_z"), p("w_r"), p("u_r"), p("b_r"), p("w_h"),
+          p("u_h"), p("b_h")};
+}
+
+Variable ComposedGruStep(const GruParams& p, const Variable& x,
+                         const Variable& h_prev) {
+  using namespace autograd;  // NOLINT
+  const Variable z = Sigmoid(
+      AddRows(Add(MatMul(x, p.w_z), MatMul(h_prev, p.u_z)), p.b_z));
+  const Variable r = Sigmoid(
+      AddRows(Add(MatMul(x, p.w_r), MatMul(h_prev, p.u_r)), p.b_r));
+  const Variable h_tilde = Tanh(AddRows(
+      Add(MatMul(x, p.w_h), Mul(r, MatMul(h_prev, p.u_h))), p.b_h));
+  return Add(Mul(OneMinus(z), h_tilde), Mul(z, h_prev));
+}
+
+// Gru::Run followed by BiGru's ConcatCols, over the composed step.
+std::vector<Variable> ComposedBiGru(const GruParams& fwd, const GruParams& bwd,
+                                    const std::vector<Variable>& xs) {
+  const int steps = static_cast<int>(xs.size());
+  auto run = [&](const GruParams& p, bool reverse) {
+    Variable h = Variable::Constant(
+        Tensor::Zeros({xs[0].value().rows(), p.u_z.value().rows()}));
+    std::vector<Variable> states(xs.size());
+    for (int i = 0; i < steps; ++i) {
+      const int t = reverse ? steps - 1 - i : i;
+      h = ComposedGruStep(p, xs[t], h);
+      states[t] = h;
+    }
+    return states;
+  };
+  const std::vector<Variable> f = run(fwd, false);
+  const std::vector<Variable> b = run(bwd, true);
+  std::vector<Variable> out;
+  for (int t = 0; t < steps; ++t) {
+    out.push_back(autograd::ConcatCols(f[t], b[t]));
+  }
+  return out;
+}
+
+class GruGatesOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GruGatesOracleTest, StepIsBitwiseEqualToComposedOps) {
+  const int hidden = GetParam();
+  Rng rng(40 + hidden);
+  GruCell cell(26, hidden, rng);
+  for (auto& [name, param] : cell.NamedParameters()) {
+    if (name[0] == 'b') {
+      param.mutable_value() = Tensor::Randn({1, hidden}, rng);
+    }
+  }
+  Variable x = Variable::Parameter(Tensor::Randn({16, 26}, rng));
+  Variable h_prev = Variable::Parameter(Tensor::Randn({16, hidden}, rng));
+  const Tensor out_grad = Tensor::Randn({16, hidden}, rng);
+  std::vector<Variable> vars = cell.Parameters();
+  std::vector<std::string> names;
+  for (const auto& [name, param] : cell.NamedParameters()) {
+    names.push_back(name);
+  }
+  vars.insert(vars.end(), {x, h_prev});
+  names.insert(names.end(), {"x", "h_prev"});
+
+  Variable fused = cell.Step(x, h_prev);
+  EXPECT_STREQ(fused.node()->op, "gru_gates");
+  fused.Backward(out_grad);
+  const std::vector<Tensor> fused_grads = HarvestGrads(vars);
+
+  Variable composed = ComposedGruStep(GruParamsOf(cell, ""), x, h_prev);
+  composed.Backward(out_grad);
+  const std::vector<Tensor> composed_grads = HarvestGrads(vars);
+
+  EXPECT_TRUE(SameBytes(fused.value(), composed.value()));
+  ExpectSameGrads(fused_grads, composed_grads, names);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hidden, GruGatesOracleTest,
+                         ::testing::Values(1, 5, 16, 128));
+
+TEST(GruGatesOracleChainTest, BiGruSequenceIsBitwiseEqualToComposedOps) {
+  // T = 24 at the MIMIC shape. The inputs require gradients, so x_t and
+  // every h_t collect deposits from several consumers: the fused node's
+  // parent order must reproduce the composed accumulation order.
+  Rng rng(47);
+  BiGru rnn(26, 16, rng);
+  std::vector<Variable> xs;
+  for (int t = 0; t < 24; ++t) {
+    xs.push_back(Variable::Parameter(Tensor::Randn({16, 26}, rng)));
+  }
+  const Tensor out_grad = Tensor::Randn({16, 32}, rng);
+  std::vector<Variable> vars = rnn.Parameters();
+  std::vector<std::string> names;
+  for (const auto& [name, param] : rnn.NamedParameters()) {
+    names.push_back(name);
+  }
+  for (int t = 0; t < 24; ++t) {
+    vars.push_back(xs[t]);
+    names.push_back("x_" + std::to_string(t));
+  }
+
+  const std::vector<Variable> fused = rnn.Run(xs);
+  autograd::Average(fused).Backward(out_grad);
+  const std::vector<Tensor> fused_grads = HarvestGrads(vars);
+
+  const std::vector<Variable> composed = ComposedBiGru(
+      GruParamsOf(rnn, "fwd.cell."), GruParamsOf(rnn, "bwd.cell."), xs);
+  autograd::Average(composed).Backward(out_grad);
+  const std::vector<Tensor> composed_grads = HarvestGrads(vars);
+
+  for (int t = 0; t < 24; ++t) {
+    EXPECT_TRUE(SameBytes(fused[t].value(), composed[t].value())) << t;
+  }
+  ExpectSameGrads(fused_grads, composed_grads, names);
 }
 
 TEST(ModuleTest, NamedParametersAreHierarchical) {
