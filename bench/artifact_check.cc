@@ -121,26 +121,22 @@ bool CheckFile(const std::string& path) {
         }
       }
     }
-    // The 128-dim profile series carries the GEMM-bound gate: both trainer
-    // sections (tape arena on and off) must be present, each with its own
-    // gemm_share — the number the perf trend watches to catch training
-    // drifting off the GEMM kernels.
-    for (const char* section :
-         {"\"name\":\"profile128/arena\"",
-          "\"name\":\"profile128/no_arena\""}) {
-      const size_t at = text.find(section);
-      if (at == std::string::npos) {
-        std::printf("FAIL %s: missing 128-dim profile section %s\n",
-                    path.c_str(), section);
-        return false;
-      }
-      // Sections are flat objects, so the row ends at the next '}'.
-      const std::string row = text.substr(at, text.find('}', at) - at);
-      if (row.find("\"gemm_share\":") == std::string::npos) {
-        std::printf("FAIL %s: profile128 section %s lacks gemm_share\n",
-                    path.c_str(), section);
-        return false;
-      }
+    // The 128-dim profile row carries the GEMM-bound gate: it must be
+    // present with its gemm_share — the number the perf trend watches to
+    // catch training drifting off the GEMM kernels.
+    const char* section = "\"name\":\"profile128\"";
+    const size_t at = text.find(section);
+    if (at == std::string::npos) {
+      std::printf("FAIL %s: missing 128-dim profile section %s\n",
+                  path.c_str(), section);
+      return false;
+    }
+    // Sections are flat objects, so the row ends at the next '}'.
+    const std::string row = text.substr(at, text.find('}', at) - at);
+    if (row.find("\"gemm_share\":") == std::string::npos) {
+      std::printf("FAIL %s: profile128 section lacks gemm_share\n",
+                  path.c_str());
+      return false;
     }
   }
   std::printf("OK   %s\n", path.c_str());

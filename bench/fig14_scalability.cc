@@ -214,13 +214,12 @@ void RunMultiProcess(const Cohort& cohort, const bench::BenchOptions& options,
 
 // ---------------------------------------------------------------------------
 // 128-dim single-worker profile: where does an epoch actually go? Trains
-// TITV on the NUH-AKI cohort with the autograd profiler on, once on the
-// tape arena and once with TRACER_TRAIN_ARENA=0, and reports wall-clock
-// plus the profiler's GEMM time share for each.
+// TITV on the NUH-AKI cohort with the autograd profiler on and reports
+// wall-clock plus the profiler's GEMM time share.
 
 void RunProfiled128(const bench::BenchOptions& options,
                     bench::BenchArtifact* artifact) {
-  bench::PrintHeader("Figure 14 — 128-dim profile: tape arena on vs off");
+  bench::PrintHeader("Figure 14 — 128-dim profile");
   bench::BenchOptions big = options;
   big.rnn_dim = 128;
   const bench::PreparedData data = PrepareCohort("aki", big);
@@ -228,44 +227,29 @@ void RunProfiled128(const bench::BenchOptions& options,
   train::TrainConfig tc = TimingConfig(epochs);
   tc.batch_size = bench::EnvInt("TRACER_PROFILE_BATCH", tc.batch_size);
 
-  struct Row {
-    const char* label;
-    const char* section;
-    bool arena;
-  };
-  const Row rows[] = {
-      {"arena", "profile128/arena", true},
-      {"no-arena", "profile128/no_arena", false},
-  };
-  std::printf("%-16s %-14s %-12s\n", "Trainer", "Measured (s)",
-              "GEMM share");
+  std::printf("%-14s %-12s\n", "Measured (s)", "GEMM share");
   bench::PrintRule();
   obs::AutogradProfiler& profiler = obs::AutogradProfiler::Global();
-  for (const Row& row : rows) {
-    setenv("TRACER_TRAIN_ARENA", row.arena ? "1" : "0", 1);
-    core::Titv model(MakeTitvConfig(data, big));
-    profiler.Reset();
-    profiler.SetEnabled(true);
-    const auto started = std::chrono::steady_clock::now();
-    train::Fit(&model, data.splits.train, data.splits.val, tc);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count();
-    profiler.SetEnabled(false);
-    const double gemm_share = profiler.GemmShare();
-    std::printf("%-16s %-14.2f %-12.2f\n", row.label, seconds, gemm_share);
-    if (std::getenv("TRACER_PROFILE_TABLE") != nullptr) {
-      std::printf("%s\n", profiler.ReportTable().c_str());
-    }
-    obs::JsonObject section;
-    section.Add("name", row.section);
-    section.Add("wall_time_s", seconds);
-    section.Add("gemm_share", gemm_share);
-    section.Add("iterations", static_cast<int64_t>(epochs));
-    artifact->AddSectionRaw(section.Build());
+  core::Titv model(MakeTitvConfig(data, big));
+  profiler.Reset();
+  profiler.SetEnabled(true);
+  const auto started = std::chrono::steady_clock::now();
+  train::Fit(&model, data.splits.train, data.splits.val, tc);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  profiler.SetEnabled(false);
+  const double gemm_share = profiler.GemmShare();
+  std::printf("%-14.2f %-12.2f\n", seconds, gemm_share);
+  if (std::getenv("TRACER_PROFILE_TABLE") != nullptr) {
+    std::printf("%s\n", profiler.ReportTable().c_str());
   }
-  unsetenv("TRACER_TRAIN_ARENA");
+  obs::JsonObject section;
+  section.Add("name", "profile128");
+  section.Add("wall_time_s", seconds);
+  section.Add("gemm_share", gemm_share);
+  section.Add("iterations", static_cast<int64_t>(epochs));
+  artifact->AddSectionRaw(section.Build());
 }
 
 }  // namespace

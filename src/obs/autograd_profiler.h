@@ -26,8 +26,7 @@ struct OpProfile {
   /// Flops the op self-reported (compute ops only; 0 when unknown).
   int64_t forward_flops = 0;
   int64_t backward_flops = 0;
-  /// Heap allocations observed inside the op's spans (tensor buffers that
-  /// missed the arena). Zero in steady state once the arena is warmed up.
+  /// Tensor buffers heap-allocated inside the op's spans.
   int64_t forward_heap_allocs = 0;
   int64_t backward_heap_allocs = 0;
   uint64_t total_ns() const { return forward_ns + backward_ns; }

@@ -119,28 +119,11 @@ bool AllFinite(const Tensor& scores) {
   return true;
 }
 
-// Bounds shared by the time-in-queue and end-to-end latency histograms:
-// 10µs .. 3s, roughly ×3 per bucket, so p50/p99 are readable at both
-// interactive and saturated operating points.
-const std::vector<double>& LatencyBoundsNs() {
-  static const std::vector<double> bounds = {
-      1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9, 3e9};
-  return bounds;
-}
-
 void RecordServed(const ServeResponse& response, bool alert) {
   if (!obs::Enabled()) return;
-  static obs::Histogram* queue_ns =
-      obs::MetricsRegistry::Global().GetOrCreateHistogram(
-          "tracer_serve_queue_ns", LatencyBoundsNs());
-  static obs::Histogram* latency_ns =
-      obs::MetricsRegistry::Global().GetOrCreateHistogram(
-          "tracer_serve_latency_ns", LatencyBoundsNs());
   static obs::Counter* alerts =
       obs::MetricsRegistry::Global().GetOrCreateCounter(
           "tracer_serve_alerts_total");
-  queue_ns->Observe(static_cast<double>(response.queue_ns));
-  latency_ns->Observe(static_cast<double>(response.total_ns));
   if (alert) alerts->Increment();
   // Per-stage tail-latency breakdown in log-bucketed histograms, with the
   // request's trace id as exemplar so a p99 bucket names a concrete trace.

@@ -303,9 +303,8 @@ void GemmBlocked(Variant variant, int m, int n, int k, const float* a,
                  const float* b, float* c) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   const int panels = (n + NR - 1) / NR;
-  // Per-thread B packing buffer, grown once and reused: the steady-state
-  // training loop must not heap-allocate per GEMM call (see the arena
-  // contract in DESIGN.md).
+  // Per-thread B packing buffer, grown once and reused, so a GEMM call
+  // does not heap-allocate in the steady-state training loop.
   thread_local std::vector<float> bp;
   const size_t bp_size = static_cast<size_t>(panels) * k * NR;
   if (bp.size() < bp_size) bp.resize(bp_size);

@@ -115,9 +115,7 @@ class Tensor {
 
  private:
   std::vector<int> shape_;
-  // Storage routes through the thread-current TensorArena when one is
-  // installed (ScopedArena), so tape-lifetime tensors inside the training
-  // loop cost zero mallocs in steady state. See tensor/arena.h.
+  // Each buffer counts in ThreadAllocCounters(); see tensor/arena.h.
   FloatBuffer data_;
 };
 

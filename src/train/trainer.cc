@@ -2,11 +2,13 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <optional>
-#include <string>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "autograd/graph_check.h"
 #include "autograd/ops.h"
@@ -17,7 +19,6 @@
 #include "obs/trace.h"
 #include "optim/early_stopping.h"
 #include "optim/optimizer.h"
-#include "tensor/arena.h"
 #include "train/run_state.h"
 #include "train/signal_guard.h"
 
@@ -82,6 +83,15 @@ TrainResult FitInternal(nn::SequenceModel* model,
   const bool telemetry = config.telemetry || obs::Enabled();
   const bool checkpointing = ckpt != nullptr && !ckpt->path.empty();
   const auto start = std::chrono::steady_clock::now();
+#if defined(__GLIBC__)
+  // Every step frees its whole tape at once. Under glibc's default 128 KiB
+  // trim threshold that free can hand the heap top back to the kernel, and
+  // the next step faults the same pages in again; whether it does depends
+  // on heap layout (on the train_dist benchmark it cost 6x the page faults
+  // and 9% more CPU per sample). Keep up to 64 MiB of freed heap for reuse
+  // instead. This is a process-wide malloc setting; repeating it is a no-op.
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
 
   if (train_set.task() == data::TaskType::kRegression) {
     // Standardise regression targets through the model's output transform:
@@ -101,21 +111,6 @@ TrainResult FitInternal(nn::SequenceModel* model,
   data::Batcher batcher(train_set, config.batch_size, rng);
   optim::Adam optimizer(model->Parameters(), config.learning_rate, 0.9f,
                         0.999f, 1e-8f, config.weight_decay);
-  // Tape-aware step arena: each forward+backward runs inside a ScopedArena,
-  // so after the warm-up batch plans the peak footprint, steady-state steps
-  // allocate no heap memory for tensors. Parameter gradients outlive the
-  // step (Adam reads them), so they are materialised on the heap here —
-  // before any arena is installed — and Backward then accumulates in place.
-  // The distributed path moves gradients across step boundaries, so the
-  // arena stays local-only. TRACER_TRAIN_ARENA=0 is the operational escape
-  // hatch (and the A/B knob the fig14 profile series uses to measure the
-  // allocator's share of step time).
-  const char* arena_env = std::getenv("TRACER_TRAIN_ARENA");
-  const bool use_arena = config.grad_reducer == nullptr &&
-                         (arena_env == nullptr ||
-                          std::string(arena_env) != "0");
-  TensorArena step_arena;
-  for (autograd::Variable p : optimizer.params()) p.grad();
   optim::EarlyStopping stopper(config.patience > 0 ? config.patience
                                                    : config.max_epochs + 1,
                                /*higher_is_better=*/false);
@@ -245,33 +240,23 @@ TrainResult FitInternal(nn::SequenceModel* model,
       // reduced loss then carries the non-finiteness to every worker so
       // they all skip the step identically.
       const auto eval = [&](const std::vector<int>& sub) -> float {
-        float loss_value = 0.0f;
-        {
-          // Everything allocated in this block (batch tensors, the tape)
-          // dies before the Reset below, so the arena can rewind.
-          std::optional<ScopedArena> arena_scope;
-          if (use_arena) arena_scope.emplace(&step_arena);
-          const data::Batch batch = data::MakeBatch(train_set, sub);
-          optimizer.ZeroGrad();
-          autograd::Variable loss =
-              BatchLoss(model, batch, train_set.task());
-          loss_value = loss.value()[0];
-          if (!(config.nonfinite_guard && !std::isfinite(loss_value))) {
-            if (config.validate_graph) {
-              // Catches silent corruption (shape drift, NaN/Inf, severed
-              // gradient flow) before it can reach the optimizer state; see
-              // TrainConfig::validate_graph.
-              autograd::ValidateOptions validate_options;
-              validate_options.check_nonfinite = true;
-              autograd::CheckGraph(loss, validate_options);
-            }
-            loss.Backward();
+        const data::Batch batch = data::MakeBatch(train_set, sub);
+        optimizer.ZeroGrad();
+        autograd::Variable loss = BatchLoss(model, batch, train_set.task());
+        const float loss_value = loss.value()[0];
+        if (!(config.nonfinite_guard && !std::isfinite(loss_value))) {
+          if (config.validate_graph) {
+            // Catches silent corruption (shape drift, NaN/Inf, severed
+            // gradient flow) before it can reach the optimizer state; see
+            // TrainConfig::validate_graph.
+            autograd::ValidateOptions validate_options;
+            validate_options.check_nonfinite = true;
+            autograd::CheckGraph(loss, validate_options);
           }
+          loss.Backward();
         }
-        if (use_arena) step_arena.Reset();
         return loss_value;
       };
-      const AllocCounters step_allocs_before = ThreadAllocCounters();
       float loss_value = 0.0f;
       if (config.grad_reducer != nullptr) {
         // Distributed step: the reducer computes this worker's shards via
@@ -294,17 +279,6 @@ TrainResult FitInternal(nn::SequenceModel* model,
         loss_value = std::move(reduced).value();
       } else {
         loss_value = eval(idx);
-      }
-      if (obs::Enabled()) {
-        // Heap allocations this step: warm-up steps pay arena-block and
-        // stray heap mallocs; steady-state steps must read 0 (asserted by
-        // the arena test, visible here in the metrics dump).
-        const AllocCounters a = ThreadAllocCounters();
-        obs::MetricsRegistry::Global()
-            .GetOrCreateGauge("tracer_train_allocs_per_step")
-            ->Set(static_cast<double>(
-                (a.heap_allocs - step_allocs_before.heap_allocs) +
-                (a.arena_blocks - step_allocs_before.arena_blocks)));
       }
       bool skip = config.nonfinite_guard && !std::isfinite(loss_value);
       float grad_norm = 0.0f;

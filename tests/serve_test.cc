@@ -710,8 +710,8 @@ TEST(ServeMetricsTest, ServingExportsTracerServeMetrics) {
   const std::string dump = obs::MetricsRegistry::Global().ExportPrometheus();
   for (const char* metric :
        {"tracer_serve_requests_total", "tracer_serve_batches_total",
-        "tracer_serve_batch_size", "tracer_serve_queue_ns",
-        "tracer_serve_latency_ns", "tracer_serve_queue_depth",
+        "tracer_serve_batch_size", "tracer_serve_queue_wait_ns",
+        "tracer_serve_total_ns", "tracer_serve_queue_depth",
         "tracer_serve_model_loads_total", "tracer_serve_hot_swaps_total",
         "tracer_serve_live_version"}) {
     EXPECT_NE(dump.find(metric), std::string::npos)

@@ -1,6 +1,10 @@
+#include <thread>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tensor/arena.h"
 #include "tensor/tensor.h"
 
 namespace tracer {
@@ -96,6 +100,39 @@ TEST(TensorTest, SameShape) {
 TEST(TensorTest, ToStringMentionsShape) {
   Tensor t({2, 2});
   EXPECT_NE(t.ToString().find("shape=[2, 2]"), std::string::npos);
+}
+
+// ThreadAllocCounters().heap_allocs counts tensor buffers per thread; the
+// autograd profiler's per-op alloc columns and perfbench's
+// tensor.heap_allocs_per_step are deltas of it.
+TEST(TensorAllocCounterTest, ZerosCountsOneHeapAlloc) {
+  const int64_t before = ThreadAllocCounters().heap_allocs;
+  { Tensor t = Tensor::Zeros({8, 8}); }
+  EXPECT_EQ(ThreadAllocCounters().heap_allocs - before, 1);
+}
+
+TEST(TensorAllocCounterTest, MoveCountsZeroAndCopyCountsOne) {
+  Tensor a = Tensor::Full({4, 4}, 2.0f);
+  int64_t before = ThreadAllocCounters().heap_allocs;
+  Tensor moved = std::move(a);
+  EXPECT_EQ(ThreadAllocCounters().heap_allocs - before, 0);
+  before = ThreadAllocCounters().heap_allocs;
+  Tensor copied = moved;
+  EXPECT_EQ(ThreadAllocCounters().heap_allocs - before, 1);
+  EXPECT_FLOAT_EQ(copied.at(3, 3), 2.0f);
+}
+
+TEST(TensorAllocCounterTest, OtherThreadsAllocationsDoNotCount) {
+  const int64_t before = ThreadAllocCounters().heap_allocs;
+  int64_t worker_delta = 0;
+  std::thread worker([&worker_delta] {
+    const int64_t start = ThreadAllocCounters().heap_allocs;
+    { Tensor t = Tensor::Zeros({16, 16}); }
+    worker_delta = ThreadAllocCounters().heap_allocs - start;
+  });
+  worker.join();
+  EXPECT_EQ(worker_delta, 1);
+  EXPECT_EQ(ThreadAllocCounters().heap_allocs - before, 0);
 }
 
 TEST(TensorDeathTest, ReshapeSizeMismatchChecks) {
