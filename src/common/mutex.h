@@ -16,8 +16,8 @@ namespace common {
 // (common/thread_annotations.h), so the compiler can prove lock discipline
 // on every build of the CI `clang-thread-safety` job. They are the ONLY
 // place in src/ allowed to name std::mutex / std::lock_guard /
-// std::condition_variable — analyzer rule A1 (tools/analyze.py) rejects
-// raw uses anywhere else.
+// std::condition_variable — lint rule no-raw-sync (tools/lint.py)
+// rejects raw uses anywhere else.
 //
 // Usage:
 //   common::Mutex mutex_;

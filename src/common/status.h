@@ -27,8 +27,8 @@ enum class StatusCode {
 /// Lightweight success/error value. An OK status carries no message.
 /// [[nodiscard]]: a dropped Status is a swallowed failure — every call
 /// site must consume it (assign, return, TRACER_RETURN_IF_ERROR, check) or
-/// discard it *explicitly* with TRACER_IGNORE_STATUS, which analyzer rule
-/// A2 (tools/analyze.py) and lint rule R4 can count.
+/// discard it *explicitly* with TRACER_IGNORE_STATUS, which lint rule
+/// unchecked-status (tools/lint.py) can count.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
@@ -130,9 +130,9 @@ class [[nodiscard]] Result {
 
 /// Explicitly discards a Status where failure is genuinely acceptable
 /// (best-effort cleanup, an error path already being reported). Greppable
-/// and counted by analyzer rule A2 — prefer handling the status; every use
-/// of this macro is an audited exception, so say why in a comment at the
-/// call site.
+/// and counted by lint rule unchecked-status — prefer handling the status;
+/// every use of this macro is an audited exception, so say why in a
+/// comment at the call site.
 #define TRACER_IGNORE_STATUS(expr)                        \
   do {                                                    \
     const ::tracer::Status _ignored_status = (expr);      \

@@ -20,7 +20,7 @@
 ///    logging sink) are annotated TRACER_EXCLUDES(that_lock) where a
 ///    lock-order inversion is possible;
 ///  - raw std::mutex / std::lock_guard / std::condition_variable are
-///    banned outside common/mutex.h (analyzer rule A1) — use
+///    banned outside common/mutex.h (lint rule no-raw-sync) — use
 ///    common::Mutex / common::MutexLock / common::CondVar.
 
 #if defined(__clang__)

@@ -78,31 +78,27 @@ std::string Titv::name() const {
   return "TRACER";
 }
 
-Titv::ModulationOutputs Titv::RunTimeInvariant(
-    const std::vector<Variable>& xs) const {
-  ModulationOutputs out;
-  if (!UsesInvariantModule(config_.ablation)) return out;
-  // Eq. 1: q_t = BIRNN(x_1..x_T).
-  const std::vector<Variable> qs = invariant_rnn_->Run(xs);
-  // Eq. 2: s = mean_t q_t (or the last state under the ablation).
-  const Variable s = config_.ablation == TitvAblation::kLastStateSummary
-                         ? qs.back()
-                         : autograd::Average(qs);
-  // Eq. 3–4: the FiLM generator.
-  out.beta = film_beta_->Forward(s);
-  out.theta = film_theta_->Forward(s);
-  out.has_value = true;
-  return out;
-}
-
-Variable Titv::Forward(const std::vector<Variable>& xs) {
+Titv::Pass Titv::Run(const std::vector<Variable>& xs, bool keep_xis) {
   TRACER_CHECK(!xs.empty());
   TRACER_CHECK_EQ(xs[0].value().cols(), config_.input_dim);
   const TitvAblation ablation = config_.ablation;
-  const ModulationOutputs mod = RunTimeInvariant(xs);
+  Pass pass;
+
+  // Time-Invariant Module (Eq. 1–4).
+  Variable theta;
+  if (UsesInvariantModule(ablation)) {
+    // Eq. 1: q_t = BIRNN(x_1..x_T).
+    const std::vector<Variable> qs = invariant_rnn_->Run(xs);
+    // Eq. 2: s = mean_t q_t (or the last state under the ablation).
+    const Variable s = ablation == TitvAblation::kLastStateSummary
+                           ? qs.back()
+                           : autograd::Average(qs);
+    // Eq. 3–4: the FiLM generator.
+    pass.beta = film_beta_->Forward(s);
+    theta = film_theta_->Forward(s);
+  }
 
   // Time-Variant Module (Eq. 5–11).
-  std::vector<Variable> alphas;
   if (UsesVariantModule(ablation)) {
     std::vector<Variable> inputs;
     inputs.reserve(xs.size());
@@ -110,8 +106,7 @@ Variable Titv::Forward(const std::vector<Variable>& xs) {
       // Eq. 10 applied inside Eq. 6–8: x̃_t = β ⊙ x_t + θ (feature-wise
       // affine transformation of the input, §4.1).
       for (const Variable& x : xs) {
-        inputs.push_back(autograd::Add(autograd::Mul(mod.beta, x),
-                                       mod.theta));
+        inputs.push_back(autograd::Add(autograd::Mul(pass.beta, x), theta));
       }
     } else {
       inputs = xs;
@@ -123,121 +118,89 @@ Variable Titv::Forward(const std::vector<Variable>& xs) {
     const int rows = hs[0].value().rows();
     const Variable a_all =
         autograd::Tanh(attention_->Forward(autograd::ConcatRows(hs)));
-    alphas.reserve(hs.size());
+    pass.alphas.reserve(hs.size());
     for (size_t t = 0; t < hs.size(); ++t) {
-      alphas.push_back(autograd::SliceRows(
+      pass.alphas.push_back(autograd::SliceRows(
           a_all, static_cast<int>(t) * rows,
           static_cast<int>(t + 1) * rows));
     }
   }
 
   // Prediction Module (Eq. 12–14).
+  if (keep_xis) pass.xis.reserve(xs.size());
   Variable context;
   for (size_t t = 0; t < xs.size(); ++t) {
     Variable xi;  // ξ_t
     switch (ablation) {
       case TitvAblation::kInvariantOnly:
-        xi = mod.beta;
+        xi = pass.beta;
         break;
       case TitvAblation::kVariantOnly:
       case TitvAblation::kNoBetaInPrediction:
-        xi = alphas[t];
+        xi = pass.alphas[t];
         break;
       case TitvAblation::kMultiplicativeCombine:
-        xi = autograd::Mul(mod.beta, alphas[t]);
+        xi = autograd::Mul(pass.beta, pass.alphas[t]);
         break;
       default:
-        xi = autograd::Add(mod.beta, alphas[t]);  // Eq. 12: ξ_t = β ⊕ α_t
+        xi = autograd::Add(pass.beta, pass.alphas[t]);  // Eq. 12: β ⊕ α_t
     }
+    if (keep_xis) pass.xis.push_back(xi);
     const Variable term = autograd::Mul(xi, xs[t]);  // ξ_t ⊙ x_t
     context = t == 0 ? term : autograd::Add(context, term);  // Eq. 13
   }
   // Eq. 14 pre-activation: ⟨w, c⟩ + b. The sigmoid (classification) is
   // applied by the loss / Predict for numerical stability.
-  return output_->Forward(context);
+  pass.logit = output_->Forward(context);
+  return pass;
+}
+
+Variable Titv::Forward(const std::vector<Variable>& xs) {
+  return Run(xs, /*keep_xis=*/false).logit;
 }
 
 FeatureImportanceTrace Titv::ComputeFeatureImportance(
     const data::Batch& batch, bool classification) {
-  const std::vector<Variable> xs = nn::SequenceModel::ToVariables(batch);
+  const Pass pass =
+      Run(nn::SequenceModel::ToVariables(batch), /*keep_xis=*/true);
   const int batch_size = batch.batch_size();
-  const int num_windows = static_cast<int>(xs.size());
+  const int num_windows = static_cast<int>(pass.xis.size());
   const int d = config_.input_dim;
 
-  const ModulationOutputs mod = RunTimeInvariant(xs);
-
   FeatureImportanceTrace trace;
-  trace.beta = mod.has_value ? mod.beta.value()
-                             : Tensor::Zeros({batch_size, d});
+  trace.beta = UsesInvariantModule(config_.ablation)
+                   ? pass.beta.value()
+                   : Tensor::Zeros({batch_size, d});
   trace.w = output_->weight().value();  // D×1
-
-  // Recompute α_t exactly as Forward does.
-  std::vector<Tensor> alphas;
-  if (UsesVariantModule(config_.ablation)) {
-    std::vector<Variable> inputs;
-    if (ModulatesInput(config_.ablation)) {
-      for (const Variable& x : xs) {
-        inputs.push_back(autograd::Add(autograd::Mul(mod.beta, x),
-                                       mod.theta));
-      }
-    } else {
-      inputs = xs;
-    }
-    const std::vector<Variable> hs = variant_rnn_->Run(inputs);
-    const int rows = hs[0].value().rows();
-    const Variable a_all =
-        autograd::Tanh(attention_->Forward(autograd::ConcatRows(hs)));
-    for (size_t t = 0; t < hs.size(); ++t) {
-      alphas.push_back(tracer::SliceRows(a_all.value(),
-                                         static_cast<int>(t) * rows,
-                                         static_cast<int>(t + 1) * rows));
-    }
-  } else {
-    alphas.assign(num_windows, Tensor::Zeros({batch_size, d}));
-  }
-  trace.alpha = alphas;
-
-  // Eq. 17: FI(ŷ, x_{t,d}) = ξ_{t,d} · w_d, with ξ matching the active
-  // ablation (β + α, β, α or β ⊙ α).
-  trace.fi.reserve(num_windows);
-  Tensor context({batch_size, d});
-  // For regression the effective prediction is scale·raw + offset, so each
-  // feature's contribution carries the scale factor.
-  const float fi_scale = classification ? 1.0f : output_scale();
+  trace.alpha.reserve(num_windows);
   for (int t = 0; t < num_windows; ++t) {
+    trace.alpha.push_back(pass.alphas.empty() ? Tensor::Zeros({batch_size, d})
+                                              : pass.alphas[t].value());
+  }
+
+  // Eq. 17: FI(ŷ, x_{t,d}) = ξ_{t,d} · w_d, with ξ_t taken from the pass
+  // (β + α, β, α or β ⊙ α by ablation). For regression the effective
+  // prediction is scale·raw + offset, so each contribution carries the
+  // scale factor.
+  const float fi_scale = classification ? 1.0f : output_scale();
+  trace.fi.reserve(num_windows);
+  for (const Variable& xi : pass.xis) {
+    const Tensor& xi_t = xi.value();
     Tensor fi({batch_size, d});
     for (int b = 0; b < batch_size; ++b) {
       for (int j = 0; j < d; ++j) {
-        float xi;
-        switch (config_.ablation) {
-          case TitvAblation::kInvariantOnly:
-            xi = trace.beta.at(b, j);
-            break;
-          case TitvAblation::kVariantOnly:
-          case TitvAblation::kNoBetaInPrediction:
-            xi = alphas[t].at(b, j);
-            break;
-          case TitvAblation::kMultiplicativeCombine:
-            xi = trace.beta.at(b, j) * alphas[t].at(b, j);
-            break;
-          default:
-            xi = trace.beta.at(b, j) + alphas[t].at(b, j);
-        }
-        fi.at(b, j) = xi * trace.w.at(j, 0) * fi_scale;
-        context.at(b, j) += xi * batch.xs[t].at(b, j);
+        fi.at(b, j) = xi_t.at(b, j) * trace.w.at(j, 0) * fi_scale;
       }
     }
     trace.fi.push_back(std::move(fi));
   }
 
-  // Eq. 18: ŷ = σ(Σ_t Σ_d FI·x + b); reuse the context to produce outputs.
-  Tensor logits = tracer::MatMul(context, trace.w);
-  const Tensor& bias = output_->bias().value();
-  for (int b = 0; b < batch_size; ++b) logits.at(b, 0) += bias.at(0, 0);
+  // The pass's own logit through the activation Predict and serving apply.
+  const Tensor& logit = pass.logit.value();
   trace.outputs =
       classification
-          ? tracer::Sigmoid(logits)
-          : tracer::AddScalar(tracer::Scale(logits, output_scale()),
+          ? tracer::Sigmoid(logit)
+          : tracer::AddScalar(tracer::Scale(logit, output_scale()),
                               output_offset());
   return trace;
 }

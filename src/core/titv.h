@@ -87,15 +87,22 @@ class Titv : public nn::SequenceModel {
                                                   bool classification = true);
 
  private:
-  struct ModulationOutputs {
+  /// One TITV forward pass: the Eq. 14 pre-activation plus the β, α_t and
+  /// ξ_t it was built from, so Eq. 17 attribution reads the pass that
+  /// scored.
+  struct Pass {
+    autograd::Variable logit;
+    /// β (B×D); empty under kVariantOnly.
     autograd::Variable beta;
-    autograd::Variable theta;
-    bool has_value = false;
+    /// α_t per window (B×D); empty under kInvariantOnly.
+    std::vector<autograd::Variable> alphas;
+    /// ξ_t per window, filled only when requested.
+    std::vector<autograd::Variable> xis;
   };
 
-  /// Time-Invariant Module: Eq. 1–4.
-  ModulationOutputs RunTimeInvariant(
-      const std::vector<autograd::Variable>& xs) const;
+  /// Runs the three modules once (Eq. 1–14). `keep_xis` also collects ξ_t,
+  /// which only attribution reads; scoring skips that vector.
+  Pass Run(const std::vector<autograd::Variable>& xs, bool keep_xis);
 
   TitvConfig config_;
   // Time-Invariant Module.

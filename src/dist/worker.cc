@@ -22,9 +22,7 @@ namespace {
 void ObserveAllreduceUs(double us) {
   if (!obs::Enabled()) return;
   obs::MetricsRegistry::Global()
-      .GetOrCreateHistogram("tracer_dist_allreduce_us",
-                            {100.0, 500.0, 2500.0, 12500.0, 62500.0,
-                             312500.0, 1562500.0})
+      .GetOrCreateLogHistogram("tracer_dist_allreduce_us")
       ->Observe(us);
 }
 

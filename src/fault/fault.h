@@ -38,8 +38,8 @@ namespace fault {
 /// reproduce.
 ///
 /// Every point name must be listed in fault/fault_points.h; Configure
-/// rejects unknown names and lint rule R7 enforces the same invariant
-/// statically.
+/// rejects unknown names and lint rule fault-point-registry enforces the
+/// same invariant statically.
 class FaultRegistry {
  public:
   /// Process-wide instance. First use parses the TRACER_FAULTS /

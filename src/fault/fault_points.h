@@ -7,9 +7,9 @@
 /// The list is the single source of truth consumed in two places:
 ///   - fault.cc builds FaultRegistry::KnownPoints() from it, so
 ///     FaultRegistry::Configure rejects a spec naming an unknown point;
-///   - tools/lint.py rule R7 (fault-point-registered) scans the tree for
+///   - tools/lint.py rule fault-point-registry scans the tree for
 ///     TRACER_FAULT_POINT("...") usages and fails the lint when a name is
-///     not listed here.
+///     not listed here, or when an entry here is never used.
 ///
 /// Naming convention: "<subsystem>.<operation>", matching the span and
 /// metric naming of src/obs (e.g. "ckpt.write", "serve.score").

@@ -2,48 +2,12 @@
 
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "common/macros.h"
 #include "obs/json.h"
 
 namespace tracer {
 namespace obs {
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
-  TRACER_CHECK(!bounds_.empty()) << "histogram needs at least one bound";
-  for (size_t i = 1; i < bounds_.size(); ++i) {
-    TRACER_CHECK_LT(bounds_[i - 1], bounds_[i])
-        << "histogram bounds must be strictly increasing";
-  }
-}
-
-void Histogram::Observe(double value) {
-  size_t bucket = bounds_.size();  // +Inf
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (value <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double current = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(current, current + value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<int64_t> Histogram::CumulativeCounts() const {
-  std::vector<int64_t> out(buckets_.size());
-  int64_t running = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    running += buckets_[i].load(std::memory_order_relaxed);
-    out[i] = running;
-  }
-  return out;
-}
 
 LogHistogram::LogHistogram()
     : buckets_(kBucketCount), exemplars_(kBucketCount) {}
@@ -155,7 +119,7 @@ Counter* MetricsRegistry::GetOrCreateCounter(const std::string& name) {
   common::MutexLock lock(&mutex_);
   Entry& entry = entries_[name];
   if (entry.counter == nullptr) {
-    TRACER_CHECK(entry.gauge == nullptr && entry.histogram == nullptr)
+    TRACER_CHECK(entry.gauge == nullptr)
         << name << " already registered with a different metric kind";
     entry.kind = Kind::kCounter;
     entry.counter = std::make_unique<Counter>();
@@ -167,7 +131,7 @@ Gauge* MetricsRegistry::GetOrCreateGauge(const std::string& name) {
   common::MutexLock lock(&mutex_);
   Entry& entry = entries_[name];
   if (entry.gauge == nullptr) {
-    TRACER_CHECK(entry.counter == nullptr && entry.histogram == nullptr)
+    TRACER_CHECK(entry.counter == nullptr)
         << name << " already registered with a different metric kind";
     entry.kind = Kind::kGauge;
     entry.gauge = std::make_unique<Gauge>();
@@ -175,26 +139,12 @@ Gauge* MetricsRegistry::GetOrCreateGauge(const std::string& name) {
   return entry.gauge.get();
 }
 
-Histogram* MetricsRegistry::GetOrCreateHistogram(const std::string& name,
-                                                 std::vector<double> bounds) {
-  common::MutexLock lock(&mutex_);
-  Entry& entry = entries_[name];
-  if (entry.histogram == nullptr) {
-    TRACER_CHECK(entry.counter == nullptr && entry.gauge == nullptr)
-        << name << " already registered with a different metric kind";
-    entry.kind = Kind::kHistogram;
-    entry.histogram = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return entry.histogram.get();
-}
-
 LogHistogram* MetricsRegistry::GetOrCreateLogHistogram(
     const std::string& name) {
   common::MutexLock lock(&mutex_);
   Entry& entry = entries_[name];
   if (entry.log_histogram == nullptr) {
-    TRACER_CHECK(entry.counter == nullptr && entry.gauge == nullptr &&
-                 entry.histogram == nullptr)
+    TRACER_CHECK(entry.counter == nullptr && entry.gauge == nullptr)
         << name << " already registered with a different metric kind";
     entry.kind = Kind::kLogHistogram;
     entry.log_histogram = std::make_unique<LogHistogram>();
@@ -215,20 +165,6 @@ std::string MetricsRegistry::ExportPrometheus() const {
         out += "# TYPE " + name + " gauge\n";
         out += name + " " + JsonNumber(entry.gauge->value()) + "\n";
         break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        out += "# TYPE " + name + " histogram\n";
-        const std::vector<int64_t> cumulative = h.CumulativeCounts();
-        for (size_t i = 0; i < h.bounds().size(); ++i) {
-          out += name + "_bucket{le=\"" + JsonNumber(h.bounds()[i]) + "\"} " +
-                 std::to_string(cumulative[i]) + "\n";
-        }
-        out += name + "_bucket{le=\"+Inf\"} " +
-               std::to_string(cumulative.back()) + "\n";
-        out += name + "_sum " + JsonNumber(h.sum()) + "\n";
-        out += name + "_count " + std::to_string(h.count()) + "\n";
-        break;
-      }
       case Kind::kLogHistogram: {
         // Exposed summary-style: the bucket layout is an internal detail;
         // quantiles are what dashboards want from a tail-latency metric.
@@ -262,22 +198,6 @@ std::string MetricsRegistry::ExportJsonl() const {
         line.Add("type", "gauge");
         line.Add("value", entry.gauge->value());
         break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        line.Add("type", "histogram");
-        line.Add("sum", h.sum());
-        line.Add("count", h.count());
-        std::string buckets = "[";
-        const std::vector<int64_t> cumulative = h.CumulativeCounts();
-        for (size_t i = 0; i < h.bounds().size(); ++i) {
-          if (i > 0) buckets += ",";
-          buckets += "{\"le\":" + JsonNumber(h.bounds()[i]) +
-                     ",\"count\":" + std::to_string(cumulative[i]) + "}";
-        }
-        buckets += "]";
-        line.AddRaw("buckets", buckets);
-        break;
-      }
       case Kind::kLogHistogram: {
         const LogHistogram& h = *entry.log_histogram;
         line.Add("type", "log_histogram");
@@ -308,12 +228,6 @@ std::string MetricsRegistry::ExportJsonl() const {
   return out;
 }
 
-void Histogram::Reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 void MetricsRegistry::ResetForTest() {
   common::MutexLock lock(&mutex_);
   for (auto& [name, entry] : entries_) {
@@ -323,9 +237,6 @@ void MetricsRegistry::ResetForTest() {
         break;
       case Kind::kGauge:
         entry.gauge->Reset();
-        break;
-      case Kind::kHistogram:
-        entry.histogram->Reset();
         break;
       case Kind::kLogHistogram:
         entry.log_histogram->Reset();

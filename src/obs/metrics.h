@@ -15,7 +15,7 @@ namespace tracer {
 namespace obs {
 
 // Thread-safe process-wide metrics: monotonically increasing counters,
-// settable gauges, and fixed-bucket histograms, looked up by name from a
+// settable gauges, and log-bucketed histograms, looked up by name from a
 // global registry and exportable as Prometheus text or JSONL. Metric names
 // follow the repo convention `tracer_<layer>_<name>` (see DESIGN.md
 // "Observability"); update paths are single relaxed atomics so probes can
@@ -51,35 +51,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Histogram over fixed upper bounds (Prometheus `le` semantics: a sample v
-/// lands in the first bucket with v <= bound; values above every bound go to
-/// the implicit +Inf bucket). Bounds are set at creation and immutable.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double value);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Cumulative count per bound (Prometheus convention), +Inf last.
-  std::vector<int64_t> CumulativeCounts() const;
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  void Reset();
-
- private:
-  const std::vector<double> bounds_;
-  std::vector<std::atomic<int64_t>> buckets_;  // one per bound, +Inf last
-  std::atomic<int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// Log-bucketed histogram for latency-style values with unknown range: 16
 /// geometric buckets per decade spanning [1, 1e12) (1 ns … ~17 min when fed
 /// nanoseconds), plus an underflow bucket (< 1, including negatives) and an
 /// overflow bucket. No hand-picked bounds, and any quantile is off by at
 /// most one bucket width (~15% relative) — accurate enough for p99 tail
-/// tracking where the fixed-bound Histogram is useless. Each bucket keeps
+/// tracking. Each bucket keeps
 /// one *exemplar* id (last sample's trace id) so a p99 bucket links back to
 /// a concrete trace. Updates are single relaxed atomics.
 class LogHistogram {
@@ -140,10 +117,6 @@ class MetricsRegistry {
   Counter* GetOrCreateCounter(const std::string& name)
       TRACER_EXCLUDES(mutex_);
   Gauge* GetOrCreateGauge(const std::string& name) TRACER_EXCLUDES(mutex_);
-  /// `bounds` must be strictly increasing; ignored if the histogram exists.
-  Histogram* GetOrCreateHistogram(const std::string& name,
-                                  std::vector<double> bounds)
-      TRACER_EXCLUDES(mutex_);
   LogHistogram* GetOrCreateLogHistogram(const std::string& name)
       TRACER_EXCLUDES(mutex_);
 
@@ -158,12 +131,11 @@ class MetricsRegistry {
   void ResetForTest() TRACER_EXCLUDES(mutex_);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kLogHistogram };
+  enum class Kind { kCounter, kGauge, kLogHistogram };
   struct Entry {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<LogHistogram> log_histogram;
   };
 

@@ -75,10 +75,9 @@ void RecordBatch(int batch_size) {
   static obs::Counter* batches =
       obs::MetricsRegistry::Global().GetOrCreateCounter(
           "tracer_serve_batches_total");
-  static obs::Histogram* sizes =
-      obs::MetricsRegistry::Global().GetOrCreateHistogram(
-          "tracer_serve_batch_size",
-          {1, 2, 4, 8, 16, 32, 64, 128, 256});
+  static obs::LogHistogram* sizes =
+      obs::MetricsRegistry::Global().GetOrCreateLogHistogram(
+          "tracer_serve_batch_size");
   batches->Increment();
   sizes->Observe(static_cast<double>(batch_size));
 }

@@ -385,10 +385,10 @@ TrainResult FitInternal(nn::SequenceModel* model,
             ->Increment(batches_done);
         registry.GetOrCreateCounter("tracer_train_examples_total")
             ->Increment(seen);
-        registry
-            .GetOrCreateHistogram("tracer_train_epoch_seconds",
-                                  {0.01, 0.1, 0.5, 1, 5, 30, 120, 600})
-            ->Observe(epoch_seconds);
+        // Nanoseconds: LogHistogram folds everything below 1 into its
+        // underflow bucket, and epochs here often run well under a second.
+        registry.GetOrCreateLogHistogram("tracer_train_epoch_ns")
+            ->Observe(epoch_seconds * 1e9);
       }
     }
     if (config.verbose) {

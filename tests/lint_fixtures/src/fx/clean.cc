@@ -1,7 +1,7 @@
-// Fixture: violates nothing — the negative control proving the analyzer
+// Fixture: violates nothing — the negative control proving the linter
 // does not over-report: consumes one Status, explicitly ignores
 // another, and registers a unique metric exactly once.
-// Not built; scanned by tools/analyze.py --self-test.
+// Not built; scanned by tools/lint.py --self-test.
 #include "fx/fx_status.h"
 
 namespace fx {

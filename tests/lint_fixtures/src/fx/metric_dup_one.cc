@@ -1,6 +1,6 @@
 // Fixture: first registration site of metric "tracer_fx_dup_total" — legal on
-// its own; the duplicate in a4_metric_two.cc is the A4 finding.
-// Not built; scanned by tools/analyze.py --self-test.
+// its own; the duplicate in metric_dup_two.cc is the metric-unique finding.
+// Not built; scanned by tools/lint.py --self-test.
 
 namespace fx {
 

@@ -1,6 +1,6 @@
 // Fixture: first site opening span "fx.dup" — legal on its own; the
-// second site in a5_span_dup_two.cc is the A5 finding.
-// Not built; scanned by tools/analyze.py --self-test.
+// second site in obs_span_dup_two.cc is the obs-naming finding.
+// Not built; scanned by tools/lint.py --self-test.
 
 namespace fx {
 

@@ -1,5 +1,5 @@
 // Tests for the observability stack (src/obs/): metrics registry under
-// concurrency, histogram bucket semantics, exporter round-trips, trace span
+// concurrency, log-histogram bucket semantics, exporter round-trips, trace span
 // nesting/ordering, the ring-buffer sink, and the per-op autograd profiler.
 
 #include <gtest/gtest.h>
@@ -46,7 +46,7 @@ class ObsTest : public ::testing::Test {
   }
 };
 
-TEST_F(ObsTest, CounterGaugeHistogramBasics) {
+TEST_F(ObsTest, CounterGaugeBasics) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetOrCreateCounter("tracer_test_basic_total");
   counter->Increment();
@@ -59,93 +59,6 @@ TEST_F(ObsTest, CounterGaugeHistogramBasics) {
   gauge->Set(3.5);
   gauge->Add(-1.0);
   EXPECT_DOUBLE_EQ(gauge->value(), 2.5);
-
-  Histogram* histogram = registry.GetOrCreateHistogram(
-      "tracer_test_basic_seconds", {0.1, 1.0});
-  histogram->Observe(0.05);
-  histogram->Observe(0.5);
-  EXPECT_EQ(histogram->count(), 2);
-  EXPECT_DOUBLE_EQ(histogram->sum(), 0.55);
-}
-
-TEST_F(ObsTest, HistogramBucketBoundariesUseLeSemantics) {
-  Histogram histogram({1.0, 2.0, 4.0});
-  // A value exactly on a bound belongs to that bound's bucket (v <= bound).
-  histogram.Observe(1.0);   // bucket le=1
-  histogram.Observe(1.001); // bucket le=2
-  histogram.Observe(2.0);   // bucket le=2
-  histogram.Observe(4.0);   // bucket le=4
-  histogram.Observe(4.5);   // +Inf
-  histogram.Observe(-7.0);  // below every bound -> first bucket
-  const std::vector<int64_t> cumulative = histogram.CumulativeCounts();
-  ASSERT_EQ(cumulative.size(), 4u);  // 3 bounds + +Inf
-  EXPECT_EQ(cumulative[0], 2);       // 1.0 and -7.0
-  EXPECT_EQ(cumulative[1], 4);       // + 1.001, 2.0
-  EXPECT_EQ(cumulative[2], 5);       // + 4.0
-  EXPECT_EQ(cumulative[3], 6);       // + 4.5 (the +Inf bucket)
-  EXPECT_EQ(histogram.count(), 6);
-}
-
-TEST_F(ObsTest, HistogramHandlesNegativeAndExtremeValues) {
-  Histogram histogram({0.0, 10.0});
-  histogram.Observe(-1e300);
-  histogram.Observe(-0.5);
-  histogram.Observe(0.0);
-  histogram.Observe(1e300);
-  const std::vector<int64_t> cumulative = histogram.CumulativeCounts();
-  ASSERT_EQ(cumulative.size(), 3u);
-  // Every negative value collapses into the first bucket (le="0").
-  EXPECT_EQ(cumulative[0], 3);
-  EXPECT_EQ(cumulative[1], 3);
-  EXPECT_EQ(cumulative[2], 4);  // 1e300 only reaches +Inf
-  EXPECT_EQ(histogram.count(), 4);
-}
-
-TEST_F(ObsTest, HistogramCumulativeInvariantHoldsUnderLoad) {
-  Histogram histogram({1.0, 2.0, 3.0});
-  Rng rng(99);
-  for (int i = 0; i < 5000; ++i) {
-    histogram.Observe(rng.Uniform(-1.0, 5.0));
-  }
-  const std::vector<int64_t> cumulative = histogram.CumulativeCounts();
-  ASSERT_EQ(cumulative.size(), 4u);
-  // Cumulative counts are monotone and the +Inf bucket equals count():
-  // the invariant Prometheus consumers rely on.
-  for (size_t i = 1; i < cumulative.size(); ++i) {
-    EXPECT_GE(cumulative[i], cumulative[i - 1]);
-  }
-  EXPECT_EQ(cumulative.back(), histogram.count());
-  EXPECT_EQ(histogram.count(), 5000);
-}
-
-TEST_F(ObsTest, HistogramResetRacesObserveSafely) {
-  // Exercised under TSan in CI: Reset concurrent with Observe must be
-  // data-race-free. The post-condition is only checked after the threads
-  // join (mid-flight counts are unspecified but must not corrupt).
-  Histogram histogram({1.0});
-  std::atomic<bool> stop{false};
-  std::thread resetter([&histogram, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      histogram.Reset();
-    }
-  });
-  {
-    parallel::ThreadPool pool(4);
-    for (int t = 0; t < 4; ++t) {
-      pool.Submit([&histogram] {
-        for (int i = 0; i < 20000; ++i) {
-          histogram.Observe(i % 2 == 0 ? 0.5 : 1.5);
-        }
-      });
-    }
-    pool.WaitAll();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  resetter.join();
-  histogram.Reset();
-  histogram.Observe(0.25);
-  EXPECT_EQ(histogram.count(), 1);
-  EXPECT_EQ(histogram.CumulativeCounts().back(), 1);
 }
 
 TEST_F(ObsTest, RegistryConcurrencyHammer) {
@@ -153,15 +66,12 @@ TEST_F(ObsTest, RegistryConcurrencyHammer) {
   constexpr int kThreads = 8;
   constexpr int kIncrementsPerTask = 10000;
   Counter* counter = registry.GetOrCreateCounter("tracer_test_hammer_total");
-  Histogram* histogram = registry.GetOrCreateHistogram(
-      "tracer_test_hammer_seconds", {0.5});
   {
     parallel::ThreadPool pool(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      pool.Submit([&registry, counter, histogram] {
+      pool.Submit([&registry, counter] {
         for (int i = 0; i < kIncrementsPerTask; ++i) {
           counter->Increment();
-          histogram->Observe(i % 2 == 0 ? 0.25 : 0.75);
           if (i % 1000 == 0) {
             // Hammer creation too: lookups of an existing name must be safe
             // concurrently with updates and must return the same handle.
@@ -175,11 +85,6 @@ TEST_F(ObsTest, RegistryConcurrencyHammer) {
     pool.WaitAll();
   }
   EXPECT_EQ(counter->value(), kThreads * kIncrementsPerTask);
-  EXPECT_EQ(histogram->count(), kThreads * kIncrementsPerTask);
-  const std::vector<int64_t> cumulative = histogram->CumulativeCounts();
-  ASSERT_EQ(cumulative.size(), 2u);
-  EXPECT_EQ(cumulative[0], kThreads * kIncrementsPerTask / 2);
-  EXPECT_EQ(cumulative[1], kThreads * kIncrementsPerTask);
 }
 
 TEST_F(ObsTest, LogHistogramBucketPlacementAndQuantiles) {
@@ -323,11 +228,6 @@ TEST_F(ObsTest, PrometheusExportRoundTrip) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetOrCreateCounter("tracer_test_export_total")->Increment(7);
   registry.GetOrCreateGauge("tracer_test_export_depth")->Set(2.5);
-  Histogram* histogram = registry.GetOrCreateHistogram(
-      "tracer_test_export_seconds", {1.0, 10.0});
-  histogram->Observe(0.5);
-  histogram->Observe(3.0);
-  histogram->Observe(100.0);
 
   const std::string text = registry.ExportPrometheus();
   // Parse the exposition text back: TYPE declarations and sample lines.
@@ -350,25 +250,15 @@ TEST_F(ObsTest, PrometheusExportRoundTrip) {
   }
   EXPECT_EQ(types["tracer_test_export_total"], "counter");
   EXPECT_EQ(types["tracer_test_export_depth"], "gauge");
-  EXPECT_EQ(types["tracer_test_export_seconds"], "histogram");
   EXPECT_EQ(samples["tracer_test_export_total"], "7");
   EXPECT_DOUBLE_EQ(std::stod(samples["tracer_test_export_depth"]), 2.5);
-  // Histogram buckets are cumulative with an explicit +Inf bucket and
-  // _sum/_count samples.
-  EXPECT_EQ(samples["tracer_test_export_seconds_bucket{le=\"1\"}"], "1");
-  EXPECT_EQ(samples["tracer_test_export_seconds_bucket{le=\"10\"}"], "2");
-  EXPECT_EQ(samples["tracer_test_export_seconds_bucket{le=\"+Inf\"}"], "3");
-  EXPECT_EQ(samples["tracer_test_export_seconds_count"], "3");
-  EXPECT_DOUBLE_EQ(std::stod(samples["tracer_test_export_seconds_sum"]),
-                   103.5);
 }
 
 TEST_F(ObsTest, JsonlExportRoundTrip) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetOrCreateCounter("tracer_test_jsonl_total")->Increment(3);
   registry.GetOrCreateGauge("tracer_test_jsonl_depth")->Set(-1.25);
-  registry.GetOrCreateHistogram("tracer_test_jsonl_seconds", {1.0})
-      ->Observe(0.5);
+  registry.GetOrCreateLogHistogram("tracer_test_jsonl_ns")->Observe(500.0);
 
   const std::string jsonl = registry.ExportJsonl();
   std::istringstream lines(jsonl);
@@ -381,16 +271,12 @@ TEST_F(ObsTest, JsonlExportRoundTrip) {
     ASSERT_GE(keys.size(), 2u) << line;
     EXPECT_EQ(keys[0], "metric");
     EXPECT_EQ(keys[1], "type");
-    if (line.find("\"type\":\"histogram\"") != std::string::npos) {
-      seen_types.insert("histogram");
-      EXPECT_NE(std::find(keys.begin(), keys.end(), "sum"), keys.end());
-      EXPECT_NE(std::find(keys.begin(), keys.end(), "count"), keys.end());
-      EXPECT_NE(std::find(keys.begin(), keys.end(), "buckets"), keys.end());
-    } else if (line.find("\"type\":\"log_histogram\"") !=
-               std::string::npos) {
-      // Entries persist across tests (ResetForTest zeroes in place), so a
-      // log histogram registered earlier may legitimately appear here.
-      EXPECT_NE(std::find(keys.begin(), keys.end(), "p99"), keys.end());
+    if (line.find("\"type\":\"log_histogram\"") != std::string::npos) {
+      seen_types.insert("log_histogram");
+      for (const char* key : {"sum", "count", "p99", "buckets"}) {
+        EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+            << key;
+      }
     } else {
       EXPECT_NE(std::find(keys.begin(), keys.end(), "value"), keys.end());
       if (line.find("\"type\":\"counter\"") != std::string::npos) {
@@ -405,7 +291,7 @@ TEST_F(ObsTest, JsonlExportRoundTrip) {
   EXPECT_GE(parsed, 3);
   EXPECT_TRUE(seen_types.count("counter"));
   EXPECT_TRUE(seen_types.count("gauge"));
-  EXPECT_TRUE(seen_types.count("histogram"));
+  EXPECT_TRUE(seen_types.count("log_histogram"));
 }
 
 TEST_F(ObsTest, SpanNestingRecordsParentAndDepth) {

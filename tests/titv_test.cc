@@ -13,6 +13,7 @@
 #include "parallel/parallel_for.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
+#include "tests/bitwise_oracle.h"
 #include "train/trainer.h"
 
 namespace tracer {
@@ -184,6 +185,10 @@ TEST(TitvTest, FeatureImportanceReconstructsPrediction) {
       model.ComputeFeatureImportance(batch, /*classification=*/true);
   autograd::Variable logits =
       model.Forward(nn::SequenceModel::ToVariables(batch));
+  // The trace reads the pass that scored, so its outputs are the serving
+  // activation of the model's own logit, bit for bit.
+  EXPECT_TRUE(
+      testutil::SameBytes(trace.outputs, tracer::Sigmoid(logits.value())));
   double first_bias = 0.0;
   for (int b = 0; b < batch.batch_size(); ++b) {
     double acc = 0.0;
@@ -264,6 +269,9 @@ TEST(TitvTest, RegressionFiReconstructsCalibratedPrediction) {
       model.ComputeFeatureImportance(batch, /*classification=*/false);
   autograd::Variable raw =
       model.Forward(nn::SequenceModel::ToVariables(batch));
+  EXPECT_TRUE(testutil::SameBytes(
+      trace.outputs,
+      tracer::AddScalar(tracer::Scale(raw.value(), 2.5f), 10.0f)));
   for (int b = 0; b < batch.batch_size(); ++b) {
     const double expected = 2.5 * raw.value().at(b, 0) + 10.0;
     EXPECT_NEAR(trace.outputs.at(b, 0), expected, 1e-4);

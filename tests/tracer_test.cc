@@ -1,10 +1,13 @@
 #include <cstdio>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "core/tracer.h"
 #include "datagen/emr_generator.h"
 #include "datagen/temperature_generator.h"
+#include "serve/model_registry.h"
+#include "serve/server.h"
 
 namespace tracer {
 namespace core {
@@ -89,6 +92,43 @@ TEST(TracerTest, AlertFiresAboveThresholdOnly) {
   EXPECT_FALSE(b.alert);
   EXPECT_GE(b.probability, 0.0f);
   EXPECT_LE(b.probability, 1.0f);
+}
+
+TEST(TracerTest, PredictAndAlertMatchesServedScoreBitwise) {
+  // Scenario 1 reads the same TITV pass that serving runs, so a patient's
+  // offline alert probability and the served score are the same bits.
+  Fixture f = MakeFixture();
+  f.config.training.max_epochs = 2;
+  Tracer tracer_framework(f.config);
+  tracer_framework.Train(f.splits.train, f.splits.val);
+  const std::string path = ::testing::TempDir() + "/tracer_serve_ckpt.bin";
+  ASSERT_TRUE(tracer_framework.SaveCheckpoint(path).ok());
+  serve::ModelRegistry registry;
+  const auto staged = registry.Load(path, f.config.model);
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  ASSERT_TRUE(registry.Publish(staged.value()).ok());
+  serve::InferenceServer server(&registry, serve::ServeOptions{});
+  const data::TimeSeriesDataset& test = f.splits.test;
+  for (int i = 0; i < 8; ++i) {
+    serve::ServeRequest request;
+    for (int t = 0; t < test.num_windows(); ++t) {
+      std::vector<float> window(test.num_features());
+      for (int d = 0; d < test.num_features(); ++d) {
+        window[d] = test.at(i, t, d);
+      }
+      request.windows.push_back(std::move(window));
+    }
+    const serve::ServeResponse served = server.Infer(std::move(request));
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    const float offline =
+        tracer_framework.PredictAndAlert(test, i).probability;
+    EXPECT_EQ(std::memcmp(&offline, &served.decision.probability,
+                          sizeof(float)),
+              0)
+        << "patient " << i << ": " << offline << " vs "
+        << served.decision.probability;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TracerTest, InterpretFeatureRestrictedCohort) {
